@@ -24,9 +24,9 @@ from .bounds import genie_lower_bound, lmmse_upper_bound
 from .config import ConfigError, load_config, packaged_config
 from .estimators import PrecomputedEstimator
 from .mixture import ValidationError
-from .model import snr, snr_db
+from .model import observation_mixture, snr, snr_db
 from .montecarlo import run_sweep
-from .quadrature import QuadratureSpec, quad_mse, quad_posterior_mean
+from .quadrature import QuadratureSpec, quad_mse, quad_posterior_mean, support_grid
 from .svg import write_sweep_svg
 from .sweepio import write_sweep_csv
 
@@ -118,16 +118,6 @@ def cmd_sweep(args) -> int:
     return 1 if failed else 0
 
 
-def _oracle_grid(model) -> np.ndarray:
-    from .model import observation_mixture
-
-    obs = observation_mixture(model)
-    sigmas = np.sqrt(obs.covariances[:, 0, 0])
-    low = float(np.min(obs.means[:, 0] - _ORACLE_SPAN * sigmas))
-    high = float(np.max(obs.means[:, 0] + _ORACLE_SPAN * sigmas))
-    return np.linspace(low, high, _ORACLE_POINTS)
-
-
 def cmd_oracle_check(args) -> int:
     run = load_config(args.config)
     model = run.model
@@ -138,7 +128,7 @@ def cmd_oracle_check(args) -> int:
         )
     spec = QuadratureSpec(grid_points=args.grid_points, span_sigmas=args.span_sigmas)
     pre = PrecomputedEstimator(model)
-    y_values = _oracle_grid(model)
+    y_values = support_grid(observation_mixture(model), _ORACLE_SPAN, _ORACLE_POINTS)
     analytic = pre.estimate(y_values[:, None])[:, 0]
     reference = quad_posterior_mean(model, y_values, spec)
     deviation = float(np.max(np.abs(analytic - reference)))

@@ -41,6 +41,27 @@ __all__ = [
 ]
 
 
+def _observation_batch(y, dim: int) -> tuple[np.ndarray, bool]:
+    """Observations as an ``(n, dim)`` batch, plus whether ``y`` was a single one.
+
+    A single observation is ``(dim,)``, or a scalar when ``dim`` is 1; a
+    batch is ``(n, dim)``. Wrong shapes and non-finite entries raise
+    :class:`ValidationError`.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim == 0:
+        y = y.reshape(1)
+    if y.ndim not in (1, 2):
+        raise ValidationError(f"observation must be a vector or a batch, got shape {y.shape}")
+    single = y.ndim == 1
+    batch = np.atleast_2d(y)
+    if batch.shape[1] != dim:
+        raise ValidationError(f"observation dimension {batch.shape[1]} != model dimension {dim}")
+    if not np.all(np.isfinite(batch)):
+        raise ValidationError("observation has non-finite entries")
+    return batch, single
+
+
 class PrecomputedEstimator:
     """Reusable MMSE inference engine for one model.
 
@@ -135,17 +156,6 @@ class PrecomputedEstimator:
 
     # -- log-domain machinery ----------------------------------------------
 
-    def _check_batch(self, y) -> tuple[np.ndarray, bool]:
-        y = np.asarray(y, dtype=float)
-        single = y.ndim == 1
-        batch = np.atleast_2d(y)
-        if batch.shape[1] != self.model.observation_dim:
-            raise ValidationError(
-                f"observation dimension {batch.shape[-1]} != model dimension "
-                f"{self.model.observation_dim}"
-            )
-        return batch, single
-
     def log_observation_pdfs(self, batch: np.ndarray) -> np.ndarray:
         """Per-pair Gaussian log-densities of ``(n, m)`` observations, shape ``(n_pairs, n)``."""
         out = np.empty((self.n_pairs, batch.shape[0]))
@@ -174,7 +184,7 @@ class PrecomputedEstimator:
         the flat pair order) or ``(K, L, n)`` for a batch; entries are
         nonnegative and sum to 1 over the pairs.
         """
-        batch, single = self._check_batch(y)
+        batch, single = _observation_batch(y, self.model.observation_dim)
         alpha = self._responsibilities_flat(batch)
         shape = (self.n_signal, self.n_noise)
         return alpha[:, 0].reshape(shape) if single else alpha.reshape(shape + (-1,))
@@ -183,9 +193,10 @@ class PrecomputedEstimator:
         """MMSE estimate (posterior mean) for one observation or a batch.
 
         Accepts shape ``(m,)`` returning ``(d,)``, or ``(n, m)`` returning
-        ``(n, d)``.
+        ``(n, d)``; a scalar counts as one observation of a model with
+        ``m = 1``. Non-finite observations raise :class:`ValidationError`.
         """
-        batch, single = self._check_batch(y)
+        batch, single = _observation_batch(y, self.model.observation_dim)
         alpha = self._responsibilities_flat(batch)
         comp_means = self._component_means(batch)
         if single:
@@ -194,7 +205,7 @@ class PrecomputedEstimator:
 
     def posterior(self, y) -> "PosteriorGM":
         """The full posterior mixture of the signal given a single ``y``."""
-        batch, single = self._check_batch(y)
+        batch, single = _observation_batch(y, self.model.observation_dim)
         if not single:
             raise ValidationError("posterior expects a single observation vector")
         alpha = self._responsibilities_flat(batch)[:, 0]
@@ -278,14 +289,7 @@ class LmmseEstimator:
         self.mse = float(np.trace(x_cov) - np.sum(half * half))
 
     def estimate(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        single = y.ndim == 1
-        batch = np.atleast_2d(y)
-        if batch.shape[1] != self.predicted_obs.shape[0]:
-            raise ValidationError(
-                f"observation dimension {batch.shape[1]} != model dimension "
-                f"{self.predicted_obs.shape[0]}"
-            )
+        batch, single = _observation_batch(y, self.predicted_obs.shape[0])
         est = self.x_mean + (batch - self.predicted_obs) @ self.gain.T
         return est[0] if single else est
 

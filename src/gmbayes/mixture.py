@@ -11,8 +11,11 @@ Numerical conventions:
 * Every component covariance must be symmetric positive definite; its lower
   Cholesky factor is computed once at construction and reused everywhere.
   There is no automatic jitter: a non-PD covariance is a hard error.
-* Densities are only ever evaluated in the log domain (log-sum-exp), so
-  component likelihoods that underflow a double do not poison mixtures.
+* Densities are only ever evaluated in the log domain, so component
+  likelihoods that underflow a double do not poison mixtures. All components
+  are evaluated together: deviations from the means are whitened with the
+  stacked inverse Cholesky factors (inverses of the triangular factors, never
+  of the covariances) and combined with a max-shifted log-sum-exp.
 * Weights must sum to 1 within ``WEIGHT_SUM_TOL`` and are renormalized
   exactly once, at user-facing construction. Transform operations carry
   already-normalized weights through verbatim so that round-trips such as
@@ -26,7 +29,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import block_diag, solve_triangular
-from scipy.special import logsumexp
 
 __all__ = [
     "ValidationError",
@@ -84,7 +86,7 @@ class GaussianComponent:
     lower Cholesky factor is computed eagerly and cached as ``chol``.
     """
 
-    __slots__ = ("weight", "mean", "covariance", "chol", "_log_norm")
+    __slots__ = ("weight", "mean", "covariance", "chol")
 
     def __init__(self, weight: float, mean, covariance, *, _label: str = "component"):
         weight = float(weight)
@@ -122,20 +124,10 @@ class GaussianComponent:
         self.mean = _frozen(mean)
         self.covariance = _frozen(covariance)
         self.chol = _frozen(chol)
-        self._log_norm = -0.5 * d * LOG_2PI - float(np.sum(np.log(np.diag(chol))))
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-    def log_pdf(self, x: np.ndarray) -> np.ndarray | float:
-        """Gaussian log-density at ``x`` (shape ``(d,)`` or ``(n, d)``)."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        dev = np.atleast_2d(x) - self.mean
-        z = solve_triangular(self.chol, dev.T, lower=True)
-        out = self._log_norm - 0.5 * np.sum(z * z, axis=0)
-        return float(out[0]) if single else out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -165,7 +157,10 @@ class GaussianMixture:
     Cholesky factors are exposed for vectorized consumers.
     """
 
-    __slots__ = ("components", "dim", "weights", "log_weights", "means", "covariances", "chols")
+    __slots__ = (
+        "components", "dim", "weights", "log_weights", "means", "covariances", "chols",
+        "_inv_chols", "_log_norms",
+    )
 
     def __init__(self, components: Iterable[GaussianComponent], *, renormalize: bool = True):
         components = tuple(components)
@@ -200,6 +195,14 @@ class GaussianMixture:
         self.means = _frozen(np.stack([c.mean for c in components]))
         self.covariances = _frozen(np.stack([c.covariance for c in components]))
         self.chols = _frozen(np.stack([c.chol for c in components]))
+        eye = np.eye(d)
+        self._inv_chols = _frozen(
+            np.stack([solve_triangular(c.chol, eye, lower=True) for c in components])
+        )
+        self._log_norms = _frozen(
+            -0.5 * d * LOG_2PI
+            - np.sum(np.log(np.diagonal(self.chols, axis1=1, axis2=2)), axis=1)
+        )
 
     @classmethod
     def from_parameters(
@@ -258,8 +261,14 @@ class GaussianMixture:
     # -- densities --------------------------------------------------------
 
     def component_log_pdfs(self, points: np.ndarray) -> np.ndarray:
-        """Per-component Gaussian log-densities of a ``(n, d)`` batch, shape ``(K, n)``."""
-        return np.stack([c.log_pdf(points) for c in self.components])
+        """Per-component Gaussian log-densities of a ``(n, d)`` batch, shape ``(K, n)``.
+
+        Each deviation ``x - u_k`` is whitened as ``z = L_k^-1 (x - u_k)``;
+        subtracting the mean before whitening keeps far-out points accurate.
+        """
+        dev = np.asarray(points, dtype=float).T[None, :, :] - self.means[:, :, None]
+        z = self._inv_chols @ dev
+        return self._log_norms[:, None] - 0.5 * np.einsum("kin,kin->kn", z, z)
 
     def log_density(self, x) -> np.ndarray | float:
         """Mixture log-density via log-sum-exp over components.
@@ -289,8 +298,7 @@ class GaussianMixture:
                     f"point dimension {x.shape[1]} != mixture dimension {self.dim}"
                 )
             points = x
-        logs = self.component_log_pdfs(points)
-        out = logsumexp(logs + self.log_weights[:, None], axis=0)
+        out = _log_sum_exp(self.component_log_pdfs(points) + self.log_weights[:, None])
         return float(out[0]) if single else out
 
     def characteristic_function(self, t) -> complex:
@@ -330,6 +338,23 @@ class GaussianMixture:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GaussianMixture(dim={self.dim}, components={len(self.components)})"
+
+
+def _log_sum_exp(logs: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(logs), axis=0))`` for a ``(K, n)`` array.
+
+    Shifts each column by its maximum and adds ``log1p`` of the remaining
+    terms, which keeps the result accurate when one term dominates
+    (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41, 2021). Columns
+    that are entirely ``-inf`` give ``-inf``.
+    """
+    peak = np.max(logs, axis=0)
+    rest = np.exp(logs - np.where(np.isfinite(peak), peak, 0.0))
+    # Terms at the peak are exactly 1; drop them all and add back all but one.
+    at_peak = logs == peak
+    rest -= at_peak
+    with np.errstate(divide="ignore"):
+        return peak + np.log1p(np.sum(rest, axis=0) + (np.count_nonzero(at_peak, axis=0) - 1))
 
 
 def validate(mixture: GaussianMixture) -> None:

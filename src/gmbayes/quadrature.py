@@ -5,11 +5,18 @@ of the closed-form mixture algebra, so it can serve as an independent check
 of the analytic estimator: posterior density proportional to
 ``prior(x) * noise_density(y - H x)``, integrated with the trapezoid rule.
 
-The grid spans every prior component mean by ``span_sigmas`` component
+The x grid spans every prior component mean by ``span_sigmas`` component
 standard deviations, which puts the truncated tail mass below 1e-30 at the
 default span of 12. Log densities are shifted by their per-query maximum
 before exponentiation, so the moment ratios stay well conditioned even when
-the absolute posterior scale underflows.
+the absolute posterior scale underflows. The three trapezoid sums (mass,
+first and second moment) of a block of queries are one matrix product
+against the stacked trapezoid weights.
+
+:func:`quad_mse` puts its y grid on a lattice whose spacing is an integer
+multiple of ``|H| * dx``. Every residual ``y_i - H x_j`` then lies on one
+1-D lattice, so the noise log-density is evaluated once per lattice node a
+block of queries touches instead of once per (y, x) pair.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ import numpy as np
 from .mixture import GaussianMixture, ValidationError
 from .model import BayesianLinearModel, observation_mixture
 
-__all__ = ["QuadratureSpec", "quad_posterior_mean", "quad_mse"]
+__all__ = ["QuadratureSpec", "quad_posterior_mean", "quad_mse", "support_grid"]
 
 # Absolute posterior mass below this is treated as "no numerical support".
 _SUPPORT_FLOOR = 1e-300
@@ -55,38 +62,40 @@ def _check_scalar_model(model: BayesianLinearModel):
         )
 
 
-def _support_grid(mixture: GaussianMixture, spec: QuadratureSpec) -> np.ndarray:
-    """Grid covering every component mean by ``span_sigmas`` standard deviations."""
+def _support_interval(mixture: GaussianMixture, span_sigmas: float) -> tuple[float, float]:
     centers = mixture.means[:, 0]
     sigmas = np.sqrt(mixture.covariances[:, 0, 0])
-    low = float(np.min(centers - spec.span_sigmas * sigmas))
-    high = float(np.max(centers + spec.span_sigmas * sigmas))
-    return np.linspace(low, high, spec.grid_points)
-
-
-def _posterior_moments(
-    model: BayesianLinearModel,
-    y: np.ndarray,
-    grid: np.ndarray,
-    log_prior: np.ndarray,
-):
-    """First/second posterior moments and absolute log-mass for each y.
-
-    Returns ``(mean, second_moment, log_mass)``, each shaped like ``y``.
-    ``log_mass`` is the log of the unnormalized posterior mass, the
-    denominator of Bayes' rule before normalization by the y density.
-    """
-    h = model.H[0, 0]
-    residual = y[:, None] - h * grid[None, :]
-    log_w = log_prior[None, :] + model.noise.log_density(residual.reshape(-1)).reshape(
-        residual.shape
+    return (
+        float(np.min(centers - span_sigmas * sigmas)),
+        float(np.max(centers + span_sigmas * sigmas)),
     )
+
+
+def support_grid(mixture: GaussianMixture, span_sigmas: float, points: int) -> np.ndarray:
+    """``points`` evenly spaced values covering every component mean of a 1-D
+    mixture by ``span_sigmas`` component standard deviations."""
+    return np.linspace(*_support_interval(mixture, span_sigmas), points)
+
+
+def _moment_weights(grid: np.ndarray) -> np.ndarray:
+    """``(G, 3)`` trapezoid weights for the integrals of ``f``, ``x f`` and ``x^2 f``."""
+    half = 0.5 * np.diff(grid)
+    weights = np.zeros_like(grid)
+    weights[:-1] += half
+    weights[1:] += half
+    return np.column_stack([weights, weights * grid, weights * grid**2])
+
+
+def _posterior_moments(log_w: np.ndarray, moment_weights: np.ndarray):
+    """First/second posterior moments and absolute log-mass for each row of ``log_w``.
+
+    ``log_w`` holds the unnormalized log posterior of one query per row on
+    the x grid. ``log_mass`` is the log of the unnormalized posterior mass,
+    the denominator of Bayes' rule before normalization by the y density.
+    """
     shift = np.max(log_w, axis=1)
-    weights = np.exp(log_w - shift[:, None])
-    mass = np.trapezoid(weights, grid, axis=1)
-    first = np.trapezoid(weights * grid[None, :], grid, axis=1) / mass
-    second = np.trapezoid(weights * grid[None, :] ** 2, grid, axis=1) / mass
-    return first, second, shift + np.log(mass)
+    mass, first, second = (np.exp(log_w - shift[:, None]) @ moment_weights).T
+    return first / mass, second / mass, shift + np.log(mass)
 
 
 def quad_posterior_mean(
@@ -107,12 +116,16 @@ def quad_posterior_mean(
         raise ValidationError(f"y must be scalar or 1-D, got shape {np.shape(y)}")
     if not np.all(np.isfinite(y_arr)):
         raise ValidationError("y has non-finite entries")
-    grid = _support_grid(model.x_prior, spec)
+    h = model.H[0, 0]
+    grid = support_grid(model.x_prior, spec.span_sigmas, spec.grid_points)
     log_prior = model.x_prior.log_density(grid)
+    moment_weights = _moment_weights(grid)
     means = np.empty_like(y_arr)
     for start in range(0, y_arr.size, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, y_arr.size))
-        first, _, log_mass = _posterior_moments(model, y_arr[rows], grid, log_prior)
+        residual = y_arr[rows, None] - h * grid[None, :]
+        log_noise = model.noise.log_density(residual.reshape(-1)).reshape(residual.shape)
+        first, _, log_mass = _posterior_moments(log_prior + log_noise, moment_weights)
         if np.any(log_mass < _LOG_SUPPORT_FLOOR):
             bad = y_arr[rows][log_mass < _LOG_SUPPORT_FLOOR][0]
             raise ValidationError(f"y = {bad:.6g} outside numerical support of the grid")
@@ -125,17 +138,54 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
 
     Integrates the posterior variance against the observation density:
     ``mse = ∫ f_y(y) Var[x | y] dy``, with the inner posterior moments on an
-    x grid and the outer integral on a y grid built from the observation
-    mixture. The observation density itself is evaluated exactly.
+    x grid of ``spec.grid_points`` nodes and the outer integral on a y grid
+    built from the observation mixture. The observation density itself is
+    evaluated exactly.
+
+    The y grid is a residual lattice: its spacing is the smallest integer
+    multiple ``s`` of ``q = |H| dx`` (``q = dx`` when ``H = 0``) that covers
+    the observation mixture's ``span_sigmas`` support with at most
+    ``grid_points`` nodes. Then ``y_i - H x_j = r0 + (s i - sign(H) j) q``,
+    so each block of y rows evaluates the noise log-density once on the
+    contiguous lattice segment it touches and gathers from it by index. When
+    that segment would be longer than the block itself (``|H|`` so small that
+    ``s`` exceeds the x grid size), the block evaluates the noise directly
+    at its residuals instead, so memory stays O(rows x grid) either way.
     """
     _check_scalar_model(model)
-    x_grid = _support_grid(model.x_prior, spec)
+    h = float(model.H[0, 0])
+    x_grid = support_grid(model.x_prior, spec.span_sigmas, spec.grid_points)
     log_prior = model.x_prior.log_density(x_grid)
-    y_grid = _support_grid(observation_mixture(model), spec)
-    density = np.exp(observation_mixture(model).log_density(y_grid))
+    moment_weights = _moment_weights(x_grid)
+    size = x_grid.size
+    dx = (x_grid[-1] - x_grid[0]) / (size - 1)
+    step = abs(h) * dx if h != 0.0 else dx
+    sign = int(np.sign(h))
+
+    obs = observation_mixture(model)
+    low, high = _support_interval(obs, spec.span_sigmas)
+    stride = max(1, math.ceil((high - low) / ((size - 1) * step)))
+    y_count = min(size, math.ceil((high - low) / (stride * step)) + 1)
+    y_index = stride * np.arange(y_count)  # lattice index of each y node
+    y_grid = low + y_index * step
+    origin = low - h * x_grid[0]  # residual at lattice index 0
+    density = np.exp(obs.log_density(y_grid))
+    # Lattice index of residual (i, j) is y_index[i] + column[j].
+    column = -sign * np.arange(size)
+    column_low, column_high = int(column.min()), int(column.max())
+
     integrand = np.empty_like(y_grid)
-    for start in range(0, y_grid.size, _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, y_grid.size))
-        first, second, _ = _posterior_moments(model, y_grid[rows], x_grid, log_prior)
+    for start in range(0, y_count, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, y_count))
+        lattice_low = int(y_index[rows][0]) + column_low
+        lattice_high = int(y_index[rows][-1]) + column_high
+        offsets = (y_index[rows] - lattice_low)[:, None] + column[None, :]
+        if lattice_high - lattice_low < offsets.size:
+            segment = np.arange(lattice_low, lattice_high + 1)
+            log_noise = model.noise.log_density(origin + segment * step)[offsets]
+        else:
+            residual = origin + (lattice_low + offsets.reshape(-1)) * step
+            log_noise = model.noise.log_density(residual).reshape(offsets.shape)
+        first, second, _ = _posterior_moments(log_prior + log_noise, moment_weights)
         integrand[rows] = density[rows] * (second - first**2)
     return float(np.trapezoid(integrand, y_grid))

@@ -3,9 +3,12 @@ subprocess check of the installed entry point)."""
 
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +122,12 @@ class TestEstimate:
         config = write_config(tmp_path, SCALAR_GAUSSIAN)
         assert main(["estimate", "--config", config, "--y", " "]) == 1
         assert "empty observation vector" in capsys.readouterr().err
+
+    def test_non_finite_y_exit_1(self, capsys):
+        assert main(["estimate", "--config", "oracle1d.config", "--y", "nan"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "non-finite" in err
 
 
 class TestSweep:
@@ -250,3 +259,15 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "valid" in result.stdout
+
+    def test_python_module_entry_point(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "gmbayes", "oracle-check", "--config", "oracle1d.config",
+             "--grid-points", "1001"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "PASS" in result.stdout

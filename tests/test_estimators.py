@@ -162,6 +162,34 @@ class TestMmseEstimate:
         with pytest.raises(ValidationError, match="dimension"):
             pre.estimate(np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observation_rejected(self, bad):
+        pre = precompute(two_component_1d_model())
+        for y in (np.array([bad]), np.array([[0.5], [bad]])):
+            with pytest.raises(ValidationError, match="non-finite"):
+                pre.estimate(y)
+        with pytest.raises(ValidationError, match="non-finite"):
+            pre.posterior(np.array([bad]))
+        with pytest.raises(ValidationError, match="non-finite"):
+            pre.responsibilities(np.array([bad]))
+
+    def test_scalar_observation_on_1d_model(self):
+        pre = precompute(two_component_1d_model())
+        est = pre.estimate(np.float64(0.7))
+        assert est.shape == (1,)
+        npt.assert_array_equal(est, pre.estimate(np.array([0.7])))
+        assert pre.responsibilities(0.7).shape == (2, 2)
+
+    def test_scalar_observation_on_wider_model_rejected(self):
+        pre = precompute(random_model(np.random.default_rng(6), 2, 2, 2, 1))
+        with pytest.raises(ValidationError, match="dimension"):
+            pre.estimate(0.7)
+
+    def test_three_dimensional_observation_rejected(self):
+        pre = precompute(scalar_wiener_model())
+        with pytest.raises(ValidationError, match="vector or a batch"):
+            pre.estimate(np.zeros((2, 3, 1)))
+
     def test_concurrent_reads_consistent(self):
         rng = np.random.default_rng(5)
         model = random_model(rng, 3, 3, 3, 2)
@@ -321,6 +349,22 @@ class TestLmmse:
         batch = lmmse.estimate(ys)
         for i, y in enumerate(ys):
             npt.assert_allclose(batch[i], lmmse.estimate(y), rtol=1e-13, atol=1e-13)
+
+    def test_non_finite_observation_rejected(self):
+        lmmse = LmmseEstimator(two_component_1d_model())
+        with pytest.raises(ValidationError, match="non-finite"):
+            lmmse.estimate(np.array([[0.5], [np.nan]]))
+
+    def test_scalar_observation_on_1d_model(self):
+        lmmse = LmmseEstimator(two_component_1d_model())
+        est = lmmse.estimate(0.7)
+        assert est.shape == (1,)
+        npt.assert_array_equal(est, lmmse.estimate(np.array([0.7])))
+
+    def test_dimension_mismatch(self):
+        lmmse = LmmseEstimator(scalar_wiener_model())
+        with pytest.raises(ValidationError, match="dimension"):
+            lmmse.estimate(np.zeros(2))
 
 
 class TestObservationDensityConsistency:

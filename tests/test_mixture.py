@@ -8,6 +8,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
+from scipy.stats import multivariate_normal
 
 from gmbayes import (
     GaussianComponent,
@@ -19,7 +21,7 @@ from gmbayes import (
     validate,
 )
 
-from conftest import random_mixture
+from conftest import random_mixture, random_spd
 
 # Frozen reference values (extended-precision evaluation, 50 digits).
 STD_NORMAL_LOG_PDF_AT_0 = -0.9189385332046728
@@ -194,6 +196,27 @@ class TestLogDensity:
         mix = single_standard(2)
         with pytest.raises(ValidationError, match="dimension"):
             mix.log_density(np.zeros(3))
+
+    def test_matches_scipy_mixture_in_three_dimensions(self):
+        rng = np.random.default_rng(29)
+        weights = [0.5, 0.0, 0.3, 0.2]  # a zero-weight component stays in every formula
+        means = [rng.normal(scale=2.0, size=3) for _ in weights]
+        covs = [random_spd(rng, 3, scale) for scale in (0.5, 1.0, 2.0, 0.1)]
+        mix = GaussianMixture.from_parameters(weights, means, covs)
+        near = rng.normal(scale=3.0, size=(50, 3))
+        directions = rng.normal(size=(50, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        far = means[0] + 3e3 * directions  # over 1e3 sigma from every component
+        points = np.vstack([near, far])
+        per_component = np.stack(
+            [multivariate_normal(m, c).logpdf(points) for m, c in zip(means, covs)]
+        )
+        with np.errstate(divide="ignore"):
+            expected = logsumexp(per_component + np.log(weights)[:, None], axis=0)
+        npt.assert_allclose(mix.component_log_pdfs(points), per_component, rtol=1e-12)
+        got = mix.log_density(points)
+        assert np.all(np.isfinite(got))
+        npt.assert_allclose(got, expected, rtol=1e-12)
 
     @given(point=st.floats(-1e6, 1e6))
     @settings(max_examples=50, deadline=None)
