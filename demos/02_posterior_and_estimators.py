@@ -13,7 +13,7 @@ from gmbayes import (
     BayesianLinearModel,
     GaussianMixture,
     LmmseEstimator,
-    precompute,
+    PrecomputedEstimator,
 )
 
 # Signal prior: two well-separated clusters in 2-D.
@@ -34,7 +34,7 @@ print("model:", model)
 
 # Everything y-independent (gains, Cholesky factors, posterior component
 # covariances) is computed once; reuse `pre` for every observation.
-pre = precompute(model)
+pre = PrecomputedEstimator(model)
 
 y = np.array([3.5, 1.2])
 post = pre.posterior(y)

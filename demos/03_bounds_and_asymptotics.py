@@ -19,9 +19,9 @@ from gmbayes import (
     BayesianLinearModel,
     GaussianMixture,
     LmmseEstimator,
+    PrecomputedEstimator,
     bounds_report,
     calibrate_noise_scale,
-    precompute,
     snr_db,
 )
 
@@ -34,8 +34,7 @@ noise = GaussianMixture.single(mean=[0.0, 0.0], covariance=np.eye(2))
 model = BayesianLinearModel(np.eye(2), x_prior, noise)
 print(f"prior SNR = {snr_db(model):.2f} dB")
 
-# The report carries the two bounds plus two coarser reference values; the
-# chain lower <= upper <= trace_prior <= loose always holds.
+# The report carries the two bounds; lower <= upper <= tr C_x always holds.
 report = bounds_report(model)
 print("bounds report:", report)
 
@@ -50,7 +49,7 @@ for target_db in (-20, -10, 0, 10, 20, 40):
 # High SNR: the observation pins x down, and the estimate approaches
 # H^-1 y regardless of the prior.
 high, _ = calibrate_noise_scale(model, 100.0)
-pre = precompute(high)
+pre = PrecomputedEstimator(high)
 y = high.x_prior.sample(1, seed=5)[0] @ high.H.T + high.noise.sample(1, seed=6)[0]
 print("\n+100 dB: estimate          =", pre.estimate(y))
 print("         H^-1 y            =", np.linalg.solve(high.H, y))
@@ -58,7 +57,7 @@ print("         H^-1 y            =", np.linalg.solve(high.H, y))
 # Low SNR: the observation is useless, and the estimate falls back to the
 # prior mean.
 low, _ = calibrate_noise_scale(model, -100.0)
-pre_low = precompute(low)
+pre_low = PrecomputedEstimator(low)
 y_low = low.x_prior.sample(1, seed=5)[0] @ low.H.T + low.noise.sample(1, seed=6)[0]
 print("-100 dB: estimate          =", pre_low.estimate(y_low))
 print("         prior mean        =", model.x_prior.mean())

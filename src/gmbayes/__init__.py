@@ -22,18 +22,12 @@ sum of per-component Wiener estimates. This package provides
 * a command line (``gmbayes validate | estimate | sweep | oracle-check``).
 """
 
-from .bounds import BoundsReport, bounds_report, genie_lower_bound, lmmse_upper_bound, loose_upper_bound
+from .bounds import BoundsReport, bounds_report, genie_lower_bound, lmmse_upper_bound
 from .config import ConfigError, RunConfig, SweepSettings, load_config, packaged_config, parse_config
 from .estimators import (
     LmmseEstimator,
     PosteriorGM,
     PrecomputedEstimator,
-    lmmse_estimate,
-    mmse_estimate,
-    posterior,
-    posterior_covariance,
-    precompute,
-    responsibilities,
 )
 from .mixture import (
     GaussianComponent,
@@ -93,25 +87,18 @@ __all__ = [
     "genie_lower_bound",
     "independent_join",
     "joint_xy_mixture",
-    "lmmse_estimate",
     "lmmse_upper_bound",
     "load_config",
-    "loose_upper_bound",
     "marginal",
-    "mmse_estimate",
     "observation_mixture",
     "packaged_config",
     "parse_config",
     "parse_sweep_csv",
-    "posterior",
-    "posterior_covariance",
-    "precompute",
     "quad_mse",
     "quad_posterior_mean",
     "read_sweep_csv",
     "render_sweep_csv",
     "render_sweep_svg",
-    "responsibilities",
     "run_sweep",
     "scale_noise",
     "snr",

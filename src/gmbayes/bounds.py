@@ -7,17 +7,15 @@ The estimator's Bayesian MSE has no closed form, but it is sandwiched:
   each observation, equal to the prior-weighted trace of the component
   posterior covariances;
 * above by the exact MSE of the LMMSE estimator, which uses only the full
-  mixture first and second moments.
+  mixture first and second moments, and which never exceeds the prior
+  trace ``tr C_x``.
 
-A looser upper bound (the prior second moment about the origin) is kept as
-a diagnostic; it dominates the LMMSE bound through the prior trace.
 All bounds are returned on the linear scale; any dB conversion happens at
 presentation time.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +27,6 @@ __all__ = [
     "BoundsReport",
     "genie_lower_bound",
     "lmmse_upper_bound",
-    "loose_upper_bound",
     "bounds_report",
 ]
 
@@ -37,12 +34,12 @@ __all__ = [
 def genie_lower_bound(pre: PrecomputedEstimator) -> float:
     """Prior-weighted trace of the component posterior covariances.
 
-    Zero-weight pairs carry ``exp(-inf) = 0`` and drop out. Nonnegative;
-    coincides with the upper bound in the single-Gaussian case.
+    The weights are the observation mixture's pair weights ``p_k q_l``;
+    zero-weight pairs drop out. Nonnegative; coincides with the upper bound
+    in the single-Gaussian case.
     """
     traces = np.trace(pre.comp_post_covs, axis1=1, axis2=2)
-    weights = np.exp(pre.log_prior)
-    return float(weights @ traces)
+    return float(pre.obs.weights @ traces)
 
 
 def lmmse_upper_bound(model: BayesianLinearModel) -> float:
@@ -50,42 +47,19 @@ def lmmse_upper_bound(model: BayesianLinearModel) -> float:
     return LmmseEstimator(model).mse
 
 
-def loose_upper_bound(pre: PrecomputedEstimator) -> float:
-    """Prior second moment about the origin: ``sum_k p_k (tr C_k + ||u_k||^2)``.
-
-    Diagnostic only; exceeds the LMMSE bound by at least the squared norm
-    of the prior mean.
-    """
-    prior = pre.model.x_prior
-    return float(
-        math.fsum(
-            c.weight * (np.trace(c.covariance) + c.mean @ c.mean)
-            for c in prior.components
-        )
-    )
-
-
 @dataclass(frozen=True)
 class BoundsReport:
-    """MSE bounds for one model, linear scale.
-
-    ``lower <= upper`` always; ``upper <= trace_prior <= loose_upper`` links
-    the tight chain to the diagnostic bound.
-    """
+    """MSE bounds for one model, linear scale; ``lower <= upper`` always."""
 
     lower: float
     upper: float
-    loose_upper: float
-    trace_prior: float
 
 
 def bounds_report(model: BayesianLinearModel, pre: PrecomputedEstimator | None = None) -> BoundsReport:
-    """Evaluate all bounds for ``model``, reusing ``pre`` when given."""
+    """Evaluate both bounds for ``model``, reusing ``pre`` when given."""
     if pre is None:
         pre = PrecomputedEstimator(model)
     return BoundsReport(
         lower=genie_lower_bound(pre),
         upper=lmmse_upper_bound(model),
-        loose_upper=loose_upper_bound(pre),
-        trace_prior=float(np.trace(model.x_prior.covariance())),
     )

@@ -24,7 +24,7 @@ from .bounds import genie_lower_bound, lmmse_upper_bound
 from .config import ConfigError, load_config, packaged_config
 from .estimators import PrecomputedEstimator
 from .mixture import ValidationError
-from .model import observation_mixture, snr, snr_db
+from .model import snr, snr_db
 from .montecarlo import run_sweep
 from .quadrature import QuadratureSpec, quad_mse, quad_posterior_mean, support_grid
 from .svg import write_sweep_svg
@@ -128,7 +128,7 @@ def cmd_oracle_check(args) -> int:
         )
     spec = QuadratureSpec(grid_points=args.grid_points, span_sigmas=args.span_sigmas)
     pre = PrecomputedEstimator(model)
-    y_values = support_grid(observation_mixture(model), _ORACLE_SPAN, _ORACLE_POINTS)
+    y_values = support_grid(pre.obs, _ORACLE_SPAN, _ORACLE_POINTS)
     analytic = pre.estimate(y_values[:, None])[:, 0]
     reference = quad_posterior_mean(model, y_values, spec)
     deviation = float(np.max(np.abs(analytic - reference)))

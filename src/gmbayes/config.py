@@ -191,8 +191,8 @@ def _sweep(value, path: str) -> SweepSettings:
         ("snr_db_start", "snr_db_stop", "snr_db_step", "trials", "seed", "estimators"),
     )
     trials = _integer(_require(section, "trials", path), f"{path}.trials")
-    if trials < 1:
-        raise ConfigError(f"{path}.trials", f"must be at least 1, got {trials}")
+    if trials < 2:
+        raise ConfigError(f"{path}.trials", f"must be at least 2, got {trials}")
     seed = _integer(_require(section, "seed", path), f"{path}.seed")
     if seed < 0:
         raise ConfigError(f"{path}.seed", f"must be non-negative, got {seed}")

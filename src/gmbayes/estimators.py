@@ -7,14 +7,15 @@ dependent weights (the responsibilities) and data-independent component
 covariances. The posterior mean is the MMSE estimate.
 
 Everything that does not depend on ``y`` is computed once in
-:class:`PrecomputedEstimator`: per-pair gain matrices, Cholesky factors of
-the observation covariances, log prior weights, and component posterior
-covariances. The per-pair observation covariance is never inverted
-explicitly; all applications go through triangular solves against the
-cached Cholesky factor, which keeps the high-SNR (ill-conditioned) regime
-accurate. Responsibilities are evaluated as a softmax of log weights plus
-Gaussian log-densities, so they are well-defined even when every component
-likelihood underflows a double.
+:class:`PrecomputedEstimator`. The per-pair observation densities are the
+components of the observation mixture (:func:`gmbayes.model.observation_mixture`),
+so their means, Cholesky factors and log-densities come from that mixture
+and its stacked whitening kernel. The per-pair gains and component posterior
+covariances are formed from the same Cholesky factors by Cholesky solves;
+no observation covariance is ever inverted explicitly, which keeps the
+high-SNR (ill-conditioned) regime accurate. Responsibilities are evaluated
+as a softmax of log weights plus Gaussian log-densities, so they are
+well-defined even when every component likelihood underflows a double.
 """
 
 from __future__ import annotations
@@ -23,67 +24,38 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.special import logsumexp
 
-from .mixture import LOG_2PI, GaussianMixture, ValidationError
-from .model import BayesianLinearModel
+from .mixture import ValidationError, _as_batch, _log_sum_exp
+from .model import BayesianLinearModel, observation_mixture
 
 __all__ = [
     "PrecomputedEstimator",
     "PosteriorGM",
     "LmmseEstimator",
-    "precompute",
-    "responsibilities",
-    "mmse_estimate",
-    "posterior",
-    "posterior_covariance",
-    "lmmse_estimate",
 ]
-
-
-def _observation_batch(y, dim: int) -> tuple[np.ndarray, bool]:
-    """Observations as an ``(n, dim)`` batch, plus whether ``y`` was a single one.
-
-    A single observation is ``(dim,)``, or a scalar when ``dim`` is 1; a
-    batch is ``(n, dim)``. Wrong shapes and non-finite entries raise
-    :class:`ValidationError`.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 0:
-        y = y.reshape(1)
-    if y.ndim not in (1, 2):
-        raise ValidationError(f"observation must be a vector or a batch, got shape {y.shape}")
-    single = y.ndim == 1
-    batch = np.atleast_2d(y)
-    if batch.shape[1] != dim:
-        raise ValidationError(f"observation dimension {batch.shape[1]} != model dimension {dim}")
-    if not np.all(np.isfinite(batch)):
-        raise ValidationError("observation has non-finite entries")
-    return batch, single
 
 
 class PrecomputedEstimator:
     """Reusable MMSE inference engine for one model.
 
     All arrays are stacked over the flat pair index ``k * L + l`` (signal
-    component outer, noise component inner), matching the ordering of
-    :func:`gmbayes.model.observation_mixture`. Instances are immutable and
-    safe for concurrent use; every estimate call works on local scratch.
+    component outer, noise component inner), the component order of the
+    observation mixture. Instances are immutable and safe for concurrent
+    use; every estimate call works on its own local arrays.
 
     Attributes
     ----------
     model : BayesianLinearModel
+    obs : GaussianMixture
+        The observation mixture: per pair, weight ``p_k q_l``, mean
+        ``H u_x^(k) + u_n^(l)`` and covariance ``H C_x^(k) H^T + C_n^(l)``
+        with its lower Cholesky factor. Zero-weight pairs carry ``-inf`` log
+        weight and so exactly zero responsibility, but stay in all sums.
     n_pairs : int
         ``K * L``.
-    log_prior : (n_pairs,) array
-        ``log(p_k q_l)``; ``-inf`` for zero-weight pairs, which then carry
-        exactly zero responsibility but stay in all sums.
-    obs_means : (n_pairs, m) array
-        Per-pair observation means ``H u_x^(k) + u_n^(l)``.
-    obs_chols : (n_pairs, m, m) array
-        Lower Cholesky factors of ``H C_x^(k) H^T + C_n^(l)``.
     gains : (n_pairs, d, m) array
-        ``C_x^(k) H^T (H C_x^(k) H^T + C_n^(l))^-1``.
+        ``C_x^(k) H^T (H C_x^(k) H^T + C_n^(l))^-1``, by Cholesky solves
+        against the observation mixture's factors.
     comp_post_covs : (n_pairs, d, d) array
         Component posterior covariances; independent of the observation.
     x_means : (n_pairs, d) array
@@ -92,87 +64,52 @@ class PrecomputedEstimator:
 
     __slots__ = (
         "model",
+        "obs",
         "n_signal",
         "n_noise",
         "n_pairs",
-        "log_prior",
-        "obs_means",
-        "obs_chols",
         "gains",
         "comp_post_covs",
         "x_means",
-        "_log_norms",
     )
 
     def __init__(self, model: BayesianLinearModel):
-        H = model.H
-        m = model.observation_dim
-        log_prior, obs_means, obs_chols, gains, post_covs, x_means, log_norms = (
-            [], [], [], [], [], [], []
-        )
-        with np.errstate(divide="ignore"):
-            log_px = np.log(model.x_prior.weights)
-            log_qn = np.log(model.noise.weights)
+        obs = observation_mixture(model)
+        n_noise = len(model.noise)
+        gains, post_covs = [], []
         for k, cx in enumerate(model.x_prior.components):
-            h_cov = H @ cx.covariance  # rows of C_yx = H C_x^(k)
-            h_mean = H @ cx.mean
-            base = h_cov @ H.T
-            base = 0.5 * (base + base.T)
-            for l, cn in enumerate(model.noise.components):
-                cov_yy = base + cn.covariance
-                try:
-                    chol = np.linalg.cholesky(cov_yy)
-                except np.linalg.LinAlgError:
-                    raise ValidationError(
-                        f"observation covariance for pair (k={k}, l={l}) "
-                        "not positive definite"
-                    ) from None
+            h_cov = model.H @ cx.covariance  # rows of C_yx = H C_x^(k)
+            for chol in obs.chols[k * n_noise:(k + 1) * n_noise]:
                 gain = cho_solve((chol, True), h_cov).T
                 post_cov = cx.covariance - gain @ h_cov
-                post_cov = 0.5 * (post_cov + post_cov.T)
-                log_prior.append(log_px[k] + log_qn[l])
-                obs_means.append(h_mean + cn.mean)
-                obs_chols.append(chol)
                 gains.append(gain)
-                post_covs.append(post_cov)
-                x_means.append(cx.mean)
-                log_norms.append(
-                    -0.5 * m * LOG_2PI - float(np.sum(np.log(np.diag(chol))))
-                )
+                post_covs.append(0.5 * (post_cov + post_cov.T))
 
         self.model = model
+        self.obs = obs
         self.n_signal = len(model.x_prior)
-        self.n_noise = len(model.noise)
-        self.n_pairs = self.n_signal * self.n_noise
-        self.log_prior = np.array(log_prior)
-        self.obs_means = np.stack(obs_means)
-        self.obs_chols = np.stack(obs_chols)
+        self.n_noise = n_noise
+        self.n_pairs = len(obs)
         self.gains = np.stack(gains)
         self.comp_post_covs = np.stack(post_covs)
-        self.x_means = np.stack(x_means)
-        self._log_norms = np.array(log_norms)
-        for name in ("log_prior", "obs_means", "obs_chols", "gains", "comp_post_covs", "x_means"):
+        self.x_means = np.repeat(model.x_prior.means, n_noise, axis=0)
+        for name in ("gains", "comp_post_covs", "x_means"):
             getattr(self, name).setflags(write=False)
 
     # -- log-domain machinery ----------------------------------------------
 
     def log_observation_pdfs(self, batch: np.ndarray) -> np.ndarray:
         """Per-pair Gaussian log-densities of ``(n, m)`` observations, shape ``(n_pairs, n)``."""
-        out = np.empty((self.n_pairs, batch.shape[0]))
-        for i in range(self.n_pairs):
-            dev = batch - self.obs_means[i]
-            z = solve_triangular(self.obs_chols[i], dev.T, lower=True)
-            out[i] = self._log_norms[i] - 0.5 * np.sum(z * z, axis=0)
-        return out
+        return self.obs.component_log_pdfs(batch)
 
     def _responsibilities_flat(self, batch: np.ndarray) -> np.ndarray:
-        logp = self.log_prior[:, None] + self.log_observation_pdfs(batch)
-        alpha = np.exp(logp - logsumexp(logp, axis=0, keepdims=True))
+        logp = self.obs.log_weights[:, None] + self.log_observation_pdfs(batch)
+        alpha = np.exp(logp - _log_sum_exp(logp))
         return alpha / np.sum(alpha, axis=0, keepdims=True)
 
     def _component_means(self, batch: np.ndarray) -> np.ndarray:
         """Per-pair posterior means, shape ``(n_pairs, n, d)``."""
-        innov = batch[None, :, :] - self.obs_means[:, None, :]
+        innov = batch[None, :, :] - self.obs.means[:, None, :]
         return self.x_means[:, None, :] + np.einsum("pdm,pnm->pnd", self.gains, innov)
 
     # -- public inference ----------------------------------------------------
@@ -184,7 +121,7 @@ class PrecomputedEstimator:
         the flat pair order) or ``(K, L, n)`` for a batch; entries are
         nonnegative and sum to 1 over the pairs.
         """
-        batch, single = _observation_batch(y, self.model.observation_dim)
+        batch, single = _as_batch(y, self.model.observation_dim, "observation")
         alpha = self._responsibilities_flat(batch)
         shape = (self.n_signal, self.n_noise)
         return alpha[:, 0].reshape(shape) if single else alpha.reshape(shape + (-1,))
@@ -196,7 +133,7 @@ class PrecomputedEstimator:
         ``(n, d)``; a scalar counts as one observation of a model with
         ``m = 1``. Non-finite observations raise :class:`ValidationError`.
         """
-        batch, single = _observation_batch(y, self.model.observation_dim)
+        batch, single = _as_batch(y, self.model.observation_dim, "observation")
         alpha = self._responsibilities_flat(batch)
         comp_means = self._component_means(batch)
         if single:
@@ -205,7 +142,7 @@ class PrecomputedEstimator:
 
     def posterior(self, y) -> "PosteriorGM":
         """The full posterior mixture of the signal given a single ``y``."""
-        batch, single = _observation_batch(y, self.model.observation_dim)
+        batch, single = _as_batch(y, self.model.observation_dim, "observation")
         if not single:
             raise ValidationError("posterior expects a single observation vector")
         alpha = self._responsibilities_flat(batch)[:, 0]
@@ -289,39 +226,7 @@ class LmmseEstimator:
         self.mse = float(np.trace(x_cov) - np.sum(half * half))
 
     def estimate(self, y) -> np.ndarray:
-        batch, single = _observation_batch(y, self.predicted_obs.shape[0])
+        batch, single = _as_batch(y, self.predicted_obs.shape[0], "observation")
         est = self.x_mean + (batch - self.predicted_obs) @ self.gain.T
         return est[0] if single else est
 
-
-# -- functional surface ------------------------------------------------------
-
-
-def precompute(model: BayesianLinearModel) -> PrecomputedEstimator:
-    """Build the reusable per-pair inference engine for ``model``."""
-    return PrecomputedEstimator(model)
-
-
-def responsibilities(pre: PrecomputedEstimator, y) -> np.ndarray:
-    """Posterior pair-probability table ``(K, L)`` at observation ``y``."""
-    return pre.responsibilities(y)
-
-
-def mmse_estimate(pre: PrecomputedEstimator, y) -> np.ndarray:
-    """MMSE estimate (posterior mean) at ``y``; batch-capable."""
-    return pre.estimate(y)
-
-
-def posterior(pre: PrecomputedEstimator, y) -> PosteriorGM:
-    """Full posterior mixture at a single observation ``y``."""
-    return pre.posterior(y)
-
-
-def posterior_covariance(post: PosteriorGM) -> np.ndarray:
-    """Covariance of a posterior mixture (see :meth:`PosteriorGM.covariance`)."""
-    return post.covariance()
-
-
-def lmmse_estimate(model: BayesianLinearModel, y) -> np.ndarray:
-    """LMMSE estimate at ``y``. For repeated use build :class:`LmmseEstimator` once."""
-    return LmmseEstimator(model).estimate(y)

@@ -274,30 +274,15 @@ class GaussianMixture:
         """Mixture log-density via log-sum-exp over components.
 
         Accepts a single point of shape ``(d,)`` or a batch ``(n, d)``; for
-        1-D mixtures a scalar or a ``(n,)`` batch of scalars also works. The
-        linear-domain density is never materialized, so points hundreds of
-        standard deviations out still give finite values.
+        1-D mixtures a scalar or a ``(n,)`` batch of scalars also works.
+        Wrong shapes and non-finite entries raise :class:`ValidationError`.
+        The linear-domain density is never materialized, so points hundreds
+        of standard deviations out still give finite values.
         """
         x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            x = x.reshape(1)
-        single = x.ndim == 1
-        if single:
-            if x.shape[0] == self.dim:
-                points = x[None, :]
-            elif self.dim == 1:
-                points = x[:, None]
-                single = False
-            else:
-                raise ValidationError(
-                    f"point dimension {x.shape[0]} != mixture dimension {self.dim}"
-                )
-        else:
-            if x.shape[1] != self.dim:
-                raise ValidationError(
-                    f"point dimension {x.shape[1]} != mixture dimension {self.dim}"
-                )
-            points = x
+        if self.dim == 1 and x.ndim == 1 and x.shape[0] != 1:
+            x = x[:, None]  # a batch of scalars
+        points, single = _as_batch(x, self.dim, "point")
         out = _log_sum_exp(self.component_log_pdfs(points) + self.log_weights[:, None])
         return float(out[0]) if single else out
 
@@ -338,6 +323,27 @@ class GaussianMixture:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GaussianMixture(dim={self.dim}, components={len(self.components)})"
+
+
+def _as_batch(values, dim: int, what: str) -> tuple[np.ndarray, bool]:
+    """``values`` as an ``(n, dim)`` batch, plus whether it was a single point.
+
+    A single point is ``(dim,)``, or a scalar when ``dim`` is 1; a batch is
+    ``(n, dim)``. Wrong shapes and non-finite entries raise
+    :class:`ValidationError`, whose message names the input ``what``.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 0:
+        values = values.reshape(1)
+    if values.ndim not in (1, 2):
+        raise ValidationError(f"{what} must be a vector or a batch, got shape {values.shape}")
+    single = values.ndim == 1
+    batch = np.atleast_2d(values)
+    if batch.shape[1] != dim:
+        raise ValidationError(f"{what} dimension {batch.shape[1]} != expected dimension {dim}")
+    if not np.all(np.isfinite(batch)):
+        raise ValidationError(f"{what} has non-finite entries")
+    return batch, single
 
 
 def _log_sum_exp(logs: np.ndarray) -> np.ndarray:

@@ -81,8 +81,6 @@ def _squared_errors(x: np.ndarray, y: np.ndarray, predict) -> np.ndarray:
 def _mean_stderr(errors: np.ndarray) -> tuple[float, float]:
     n = errors.size
     mean = math.fsum(errors) / n
-    if n < 2:
-        return mean, math.inf
     dev = errors - mean
     var = math.fsum(dev * dev) / (n - 1)
     return mean, math.sqrt(var / n)
@@ -132,8 +130,10 @@ class SweepConfig:
             raise ValidationError("SNR grid is empty")
         if not all(math.isfinite(v) for v in grid):
             raise ValidationError("SNR grid has non-finite entries")
-        if self.trials < 1:
-            raise ValidationError(f"trials {self.trials} < 1")
+        if self.trials < 2:
+            raise ValidationError(f"trials {self.trials} < 2; the standard error needs at least 2")
+        if self.seed < 0:
+            raise ValidationError(f"seed {self.seed} is negative")
         for name in self.estimators:
             if name not in ESTIMATOR_NAMES:
                 raise ValidationError(

@@ -36,6 +36,10 @@ _SUPPORT_FLOOR = 1e-300
 _LOG_SUPPORT_FLOOR = math.log(_SUPPORT_FLOOR)
 
 _CHUNK_ROWS = 64
+# quad_posterior_mean evaluates the noise density at every residual of a
+# block, so its blocks are sized by residual count: about 64k residuals keep
+# the density kernel's temporaries at a few MB whatever the grid size.
+_RESIDUALS_PER_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -90,11 +94,13 @@ def _posterior_moments(log_w: np.ndarray, moment_weights: np.ndarray):
     """First/second posterior moments and absolute log-mass for each row of ``log_w``.
 
     ``log_w`` holds the unnormalized log posterior of one query per row on
-    the x grid. ``log_mass`` is the log of the unnormalized posterior mass,
-    the denominator of Bayes' rule before normalization by the y density.
+    the x grid; it is a work array and is overwritten. ``log_mass`` is the log of
+    the unnormalized posterior mass, the denominator of Bayes' rule before
+    normalization by the y density.
     """
     shift = np.max(log_w, axis=1)
-    mass, first, second = (np.exp(log_w - shift[:, None]) @ moment_weights).T
+    log_w -= shift[:, None]
+    mass, first, second = (np.exp(log_w, out=log_w) @ moment_weights).T
     return first / mass, second / mass, shift + np.log(mass)
 
 
@@ -121,11 +127,13 @@ def quad_posterior_mean(
     log_prior = model.x_prior.log_density(grid)
     moment_weights = _moment_weights(grid)
     means = np.empty_like(y_arr)
-    for start in range(0, y_arr.size, _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, y_arr.size))
+    block_rows = max(1, _RESIDUALS_PER_BLOCK // grid.size)
+    for start in range(0, y_arr.size, block_rows):
+        rows = slice(start, min(start + block_rows, y_arr.size))
         residual = y_arr[rows, None] - h * grid[None, :]
-        log_noise = model.noise.log_density(residual.reshape(-1)).reshape(residual.shape)
-        first, _, log_mass = _posterior_moments(log_prior + log_noise, moment_weights)
+        log_w = model.noise.log_density(residual.reshape(-1)).reshape(residual.shape)
+        log_w += log_prior
+        first, _, log_mass = _posterior_moments(log_w, moment_weights)
         if np.any(log_mass < _LOG_SUPPORT_FLOOR):
             bad = y_arr[rows][log_mass < _LOG_SUPPORT_FLOOR][0]
             raise ValidationError(f"y = {bad:.6g} outside numerical support of the grid")
@@ -151,6 +159,8 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
     that segment would be longer than the block itself (``|H|`` so small that
     ``s`` exceeds the x grid size), the block evaluates the noise directly
     at its residuals instead, so memory stays O(rows x grid) either way.
+    Every block's lattice offsets are the same, so they and the block's log
+    posterior are allocated once and reused.
     """
     _check_scalar_model(model)
     h = float(model.H[0, 0])
@@ -170,22 +180,27 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
     y_grid = low + y_index * step
     origin = low - h * x_grid[0]  # residual at lattice index 0
     density = np.exp(obs.log_density(y_grid))
-    # Lattice index of residual (i, j) is y_index[i] + column[j].
+    # Lattice index of residual (i, j) is y_index[i] + column[j]; relative to
+    # the lowest index a block touches, row i of any block is offsets[i].
     column = -sign * np.arange(size)
     column_low, column_high = int(column.min()), int(column.max())
+    offsets = (stride * np.arange(_CHUNK_ROWS) - column_low)[:, None] + column[None, :]
+    log_w = np.empty(offsets.shape)
 
     integrand = np.empty_like(y_grid)
     for start in range(0, y_count, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, y_count))
-        lattice_low = int(y_index[rows][0]) + column_low
-        lattice_high = int(y_index[rows][-1]) + column_high
-        offsets = (y_index[rows] - lattice_low)[:, None] + column[None, :]
-        if lattice_high - lattice_low < offsets.size:
+        count = rows.stop - start
+        lattice_low = int(y_index[start]) + column_low
+        lattice_high = int(y_index[rows.stop - 1]) + column_high
+        block = log_w[:count]
+        if lattice_high - lattice_low < block.size:
             segment = np.arange(lattice_low, lattice_high + 1)
-            log_noise = model.noise.log_density(origin + segment * step)[offsets]
+            np.take(model.noise.log_density(origin + segment * step), offsets[:count], out=block)
         else:
-            residual = origin + (lattice_low + offsets.reshape(-1)) * step
-            log_noise = model.noise.log_density(residual).reshape(offsets.shape)
-        first, second, _ = _posterior_moments(log_prior + log_noise, moment_weights)
+            residual = origin + (lattice_low + offsets[:count].reshape(-1)) * step
+            block[...] = model.noise.log_density(residual).reshape(block.shape)
+        block += log_prior
+        first, second, _ = _posterior_moments(block, moment_weights)
         integrand[rows] = density[rows] * (second - first**2)
     return float(np.trapezoid(integrand, y_grid))

@@ -43,6 +43,7 @@ from gmbayes import (
     GaussianMixture,
     BayesianLinearModel,
     LmmseEstimator,
+    PrecomputedEstimator,
     QuadratureSpec,
     affine_transform,
     calibrate_noise_scale,
@@ -51,9 +52,7 @@ from gmbayes import (
     lmmse_upper_bound,
     load_config,
     marginal,
-    observation_mixture,
     packaged_config,
-    precompute,
     quad_mse,
     quad_posterior_mean,
     run_sweep,
@@ -93,7 +92,7 @@ def test_criterion_1_gaussian_collapse(capsys):
             d = int(rng.integers(1, 7))
             m = int(rng.integers(1, 7))
             model = random_model(rng, d, m, 1, 1)
-            pre = precompute(model)
+            pre = PrecomputedEstimator(model)
             lin = LmmseEstimator(model)
             ys = model.x_prior.sample(10, rng.integers(2**32)) @ model.H.T \
                 + model.noise.sample(10, rng.integers(2**32))
@@ -117,8 +116,8 @@ def test_criterion_2_oracle_equivalence(capsys):
             model = random_model(
                 rng, 1, 1, int(rng.integers(2, 4)), int(rng.integers(2, 4))
             )
-            pre = precompute(model)
-            obs = observation_mixture(model)
+            pre = PrecomputedEstimator(model)
+            obs = pre.obs
             sigmas = np.sqrt(obs.covariances[:, 0, 0])
             ys = np.linspace(
                 float(np.min(obs.means[:, 0] - 6.0 * sigmas)),
@@ -216,7 +215,7 @@ def test_criterion_4_asymptotics(capsys):
 
         for snr_target, regime in ((120.0, "high"), (-120.0, "low")):
             scaled, _ = calibrate_noise_scale(model, snr_target)
-            pre = precompute(scaled)
+            pre = PrecomputedEstimator(scaled)
             lin = LmmseEstimator(scaled)
             ys = scaled.x_prior.sample(50, 11) @ scaled.H.T + scaled.noise.sample(50, 12)
             xhat, lhat = pre.estimate(ys), lin.estimate(ys)

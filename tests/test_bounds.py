@@ -1,18 +1,16 @@
-"""Tests for the analytic MSE bounds: genie-aided lower, LMMSE upper, and
-the loose prior-moment bound."""
+"""Tests for the analytic MSE bounds: genie-aided lower and LMMSE upper,
+both below the prior trace."""
 
 import numpy as np
-import numpy.testing as npt
 import pytest
 
 from gmbayes import (
     BayesianLinearModel,
     GaussianMixture,
+    PrecomputedEstimator,
     bounds_report,
     genie_lower_bound,
     lmmse_upper_bound,
-    loose_upper_bound,
-    precompute,
     scale_noise,
 )
 
@@ -36,7 +34,7 @@ class TestGenieLowerBound:
     def test_identity_model_closed_form(self):
         # H = I_5, C^(k) = I, noise beta I -> bound = 5 beta / (1 + beta)
         for beta in (0.01, 0.5, 1.0, 25.0):
-            pre = precompute(identity_beta_model(beta))
+            pre = PrecomputedEstimator(identity_beta_model(beta))
             assert genie_lower_bound(pre) == pytest.approx(
                 5.0 * beta / (1.0 + beta), rel=1e-12
             )
@@ -45,7 +43,7 @@ class TestGenieLowerBound:
         rng = np.random.default_rng(1)
         for _ in range(20):
             model = random_model(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), 1, 1)
-            lower = genie_lower_bound(precompute(model))
+            lower = genie_lower_bound(PrecomputedEstimator(model))
             upper = lmmse_upper_bound(model)
             assert abs(lower - upper) <= 1e-10 * (1.0 + upper)
 
@@ -53,7 +51,7 @@ class TestGenieLowerBound:
         rng = np.random.default_rng(2)
         model = random_model(rng, 3, 3, 2, 1)
         values = [
-            genie_lower_bound(precompute(scale_noise(model, a)))
+            genie_lower_bound(PrecomputedEstimator(scale_noise(model, a)))
             for a in (1e-2, 1e-4, 1e-6)
         ]
         assert values[0] > values[1] > values[2]
@@ -63,7 +61,7 @@ class TestGenieLowerBound:
         rng = np.random.default_rng(3)
         for _ in range(20):
             model = random_model(rng, 2, 2, 2, 2)
-            assert genie_lower_bound(precompute(model)) >= 0.0
+            assert genie_lower_bound(PrecomputedEstimator(model)) >= 0.0
 
 
 class TestLmmseUpperBound:
@@ -87,23 +85,37 @@ class TestLmmseUpperBound:
 
 
 class TestLooseUpperBound:
+    """The prior trace tr C_x, the MSE of the prior-mean estimate, is the
+    loose upper bound that caps the genie <= LMMSE sandwich."""
+
+    @staticmethod
+    def assert_sandwich(model):
+        lower = genie_lower_bound(PrecomputedEstimator(model))
+        upper = lmmse_upper_bound(model)
+        trace = float(np.trace(model.x_prior.covariance()))
+        slack = 1e-10 * (1.0 + trace)
+        assert 0.0 <= lower <= upper + slack
+        assert upper <= trace + slack
+        return trace
+
     def test_single_zero_mean_component(self):
-        pre = precompute(scalar_wiener_model())
-        assert loose_upper_bound(pre) == pytest.approx(1.0, rel=1e-14)
+        # scalar Wiener: the bounds meet at 1/2 below a unit prior trace
+        model = scalar_wiener_model()
+        assert self.assert_sandwich(model) == pytest.approx(1.0, rel=1e-14)
+        assert lmmse_upper_bound(model) == pytest.approx(0.5, rel=1e-14)
 
     def test_moment_identity(self):
+        # nonzero means: the cap is the centred moment, E||x||^2 - ||E x||^2
         rng = np.random.default_rng(6)
         model = random_model(rng, 3, 2, 4, 2)
-        pre = precompute(model)
         x = model.x_prior
-        expected = float(np.trace(x.covariance())) + float(x.mean() @ x.mean())
-        assert loose_upper_bound(pre) == pytest.approx(expected, rel=1e-12)
+        expected = x.second_moment_trace() - float(x.mean() @ x.mean())
+        assert self.assert_sandwich(model) == pytest.approx(expected, rel=1e-12)
 
     def test_dominates_lmmse_upper(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            model = random_model(rng, 2, 3, 3, 2)
-            assert loose_upper_bound(precompute(model)) >= lmmse_upper_bound(model) - 1e-10
+            self.assert_sandwich(random_model(rng, 2, 3, 3, 2))
 
 
 class TestOrderingAndMonotonicity:
@@ -113,20 +125,19 @@ class TestOrderingAndMonotonicity:
             d = int(rng.integers(1, 5))
             m = int(rng.integers(1, 5))
             model = random_model(rng, d, m, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-            pre = precompute(model)
-            lower = genie_lower_bound(pre)
+            lower = genie_lower_bound(PrecomputedEstimator(model))
             upper = lmmse_upper_bound(model)
-            loose = loose_upper_bound(pre)
-            scale = 1.0 + abs(loose)
+            trace = float(np.trace(model.x_prior.covariance()))
+            scale = 1.0 + trace
             assert lower <= upper + 1e-10 * scale
-            assert upper <= loose + 1e-10 * scale
+            assert upper <= trace + 1e-10 * scale
 
     def test_bounds_nondecreasing_in_noise_scale(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
             model = random_model(rng, 2, 2, 2, 2)
             scales = np.logspace(-3, 3, 13)
-            lowers = [genie_lower_bound(precompute(scale_noise(model, a))) for a in scales]
+            lowers = [genie_lower_bound(PrecomputedEstimator(scale_noise(model, a))) for a in scales]
             uppers = [lmmse_upper_bound(scale_noise(model, a)) for a in scales]
             for seq in (lowers, uppers):
                 diffs = np.diff(seq)
@@ -139,16 +150,14 @@ class TestBoundsReport:
         for _ in range(25):
             model = random_model(rng, 3, 2, 3, 2)
             report = bounds_report(model)
-            slack = 1e-10 * (1.0 + report.loose_upper)
+            trace = float(np.trace(model.x_prior.covariance()))
+            slack = 1e-10 * (1.0 + trace)
             assert 0.0 <= report.lower <= report.upper + slack
-            assert report.upper <= report.trace_prior + slack
-            assert report.trace_prior <= report.loose_upper + slack
+            assert report.upper <= trace + slack
 
     def test_fields_match_functions(self):
         model = scalar_wiener_model()
         report = bounds_report(model)
-        pre = precompute(model)
+        pre = PrecomputedEstimator(model)
         assert report.lower == genie_lower_bound(pre)
         assert report.upper == lmmse_upper_bound(model)
-        assert report.loose_upper == loose_upper_bound(pre)
-        npt.assert_allclose(report.trace_prior, 1.0)

@@ -182,6 +182,18 @@ class TestSweep:
         assert code == 1
         assert "unknown estimator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--trials", "1"], "trials 1 < 2"),
+        (["--seed", "-5"], "seed -5 is negative"),
+    ])
+    def test_bad_trials_or_seed_exit_1(self, tmp_path, capsys, extra, message):
+        # the same rules as the config file and the API, not an inf stderr
+        code, out = self.run_sweep_cli(tmp_path, "a.csv", extra=extra)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
     def test_failed_point_reported_and_exit_1(self, tmp_path, capsys):
         doc = json.loads(json.dumps(SCALAR_GAUSSIAN))
         doc["sweep"] = {

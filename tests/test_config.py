@@ -117,7 +117,12 @@ class TestParseErrors:
 
     def test_sweep_trials_zero(self):
         text = variant(sweep={"snr_db_start": 0, "snr_db_stop": 1, "snr_db_step": 1, "trials": 0, "seed": 0})
-        self.check(text, "sweep.trials", "at least 1")
+        self.check(text, "sweep.trials", "at least 2")
+
+    def test_sweep_single_trial(self):
+        # one trial has no standard error; the file follows the API's rule
+        text = variant(sweep={"snr_db_start": 0, "snr_db_stop": 1, "snr_db_step": 1, "trials": 1, "seed": 0})
+        self.check(text, "sweep.trials", "at least 2")
 
     def test_sweep_step_nonpositive(self):
         text = variant(sweep={"snr_db_start": 0, "snr_db_stop": 1, "snr_db_step": 0, "trials": 5, "seed": 0})

@@ -1,10 +1,14 @@
 """Tests for the MMSE/LMMSE estimators and the posterior mixture."""
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from gmbayes import (
     BayesianLinearModel,
@@ -12,17 +16,12 @@ from gmbayes import (
     LmmseEstimator,
     PrecomputedEstimator,
     ValidationError,
-    lmmse_estimate,
-    mmse_estimate,
+    calibrate_noise_scale,
     observation_mixture,
-    posterior,
-    posterior_covariance,
-    precompute,
-    responsibilities,
     scale_noise,
 )
 
-from conftest import random_model
+from conftest import point_inputs, random_model, rejected_input
 
 
 def scalar_wiener_model() -> BayesianLinearModel:
@@ -58,9 +57,23 @@ def information_form_means(model: BayesianLinearModel, y: np.ndarray) -> np.ndar
     return np.stack(out)
 
 
+def triangular_solve_log_pdfs(obs: GaussianMixture, ys: np.ndarray) -> np.ndarray:
+    """Per-component log-densities, one ``solve_triangular`` per component.
+
+    The estimator's former per-pair kernel, kept as a reference for the
+    stacked whitening kernel it now shares with the observation mixture.
+    """
+    out = np.empty((len(obs), ys.shape[0]))
+    for i, chol in enumerate(obs.chols):
+        z = solve_triangular(chol, (ys - obs.means[i]).T, lower=True)
+        log_norm = -0.5 * obs.dim * math.log(2.0 * math.pi) - np.sum(np.log(np.diag(chol)))
+        out[i] = log_norm - 0.5 * np.sum(z * z, axis=0)
+    return out
+
+
 class TestPrecompute:
     def test_scalar_wiener_gain(self):
-        pre = precompute(scalar_wiener_model())
+        pre = PrecomputedEstimator(scalar_wiener_model())
         npt.assert_allclose(pre.gains, [[[0.5]]], rtol=1e-15)
         npt.assert_allclose(pre.comp_post_covs, [[[0.5]]], rtol=1e-15)
 
@@ -71,7 +84,7 @@ class TestPrecompute:
         x = GaussianMixture.from_parameters([0.25] * 4, means, [np.eye(5)] * 4)
         for beta in (0.1, 1.0, 10.0):
             noise = GaussianMixture.single(np.zeros(5), beta * np.eye(5))
-            pre = precompute(BayesianLinearModel(np.eye(5), x, noise))
+            pre = PrecomputedEstimator(BayesianLinearModel(np.eye(5), x, noise))
             expected = beta / (1.0 + beta) * np.eye(5)
             for pair in range(4):
                 npt.assert_allclose(pre.comp_post_covs[pair], expected, rtol=1e-12)
@@ -79,13 +92,13 @@ class TestPrecompute:
     def test_gain_count(self):
         rng = np.random.default_rng(1)
         model = random_model(rng, 3, 2, 4, 1)
-        pre = precompute(model)
+        pre = PrecomputedEstimator(model)
         assert pre.gains.shape == (4, 3, 2)
 
     def test_component_covariances_psd(self):
         rng = np.random.default_rng(2)
         model = random_model(rng, 3, 3, 3, 2)
-        pre = precompute(model)
+        pre = PrecomputedEstimator(model)
         for cov in pre.comp_post_covs:
             npt.assert_allclose(cov, cov.T, atol=1e-12)
             assert np.linalg.eigvalsh(cov).min() >= -1e-10 * np.trace(cov)
@@ -93,16 +106,16 @@ class TestPrecompute:
 
 class TestResponsibilities:
     def test_single_component(self):
-        pre = precompute(scalar_wiener_model())
-        npt.assert_array_equal(responsibilities(pre, np.array([3.7])), [[1.0]])
+        pre = PrecomputedEstimator(scalar_wiener_model())
+        npt.assert_array_equal(pre.responsibilities(np.array([3.7])), [[1.0]])
 
     def test_symmetric_prior_at_origin(self):
         x = GaussianMixture.from_parameters(
             [0.5, 0.5], [np.array([-3.0]), np.array([3.0])], [np.eye(1)] * 2
         )
         n = GaussianMixture.single(np.zeros(1), np.eye(1))
-        pre = precompute(BayesianLinearModel(np.array([[1.0]]), x, n))
-        alpha = responsibilities(pre, np.array([0.0]))
+        pre = PrecomputedEstimator(BayesianLinearModel(np.array([[1.0]]), x, n))
+        alpha = pre.responsibilities(np.array([0.0]))
         npt.assert_allclose(alpha, [[0.5], [0.5]], atol=1e-15)
 
     def test_far_separated_components_concentrate(self):
@@ -110,23 +123,23 @@ class TestResponsibilities:
             [0.5, 0.5], [np.array([0.0]), np.array([100.0])], [np.eye(1)] * 2
         )
         n = GaussianMixture.single(np.zeros(1), np.eye(1))
-        pre = precompute(BayesianLinearModel(np.array([[1.0]]), x, n))
-        alpha = responsibilities(pre, np.array([0.0]))
+        pre = PrecomputedEstimator(BayesianLinearModel(np.array([[1.0]]), x, n))
+        alpha = pre.responsibilities(np.array([0.0]))
         assert alpha[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_normalization_at_extreme_observations(self):
-        pre = precompute(two_component_1d_model())
+        pre = PrecomputedEstimator(two_component_1d_model())
         for magnitude in (1.0, 1e3, 1e6):
-            alpha = responsibilities(pre, np.array([magnitude]))
+            alpha = pre.responsibilities(np.array([magnitude]))
             assert abs(alpha.sum() - 1.0) <= 1e-12
             assert np.all(alpha >= 0)
 
     def test_batch_matches_single(self):
-        # batched triangular solves may round differently from one-row
-        # solves, so agreement is to a few ulp, not bit for bit
+        # batched whitening products may round differently from one-row
+        # ones, so agreement is to a few ulp, not bit for bit
         rng = np.random.default_rng(3)
         model = random_model(rng, 2, 2, 3, 2)
-        pre = precompute(model)
+        pre = PrecomputedEstimator(model)
         ys = rng.normal(size=(7, 2))
         batch = pre.responsibilities(ys)
         for i, y in enumerate(ys):
@@ -137,13 +150,13 @@ class TestResponsibilities:
 
 class TestMmseEstimate:
     def test_scalar_wiener(self):
-        pre = precompute(scalar_wiener_model())
-        npt.assert_allclose(mmse_estimate(pre, np.array([2.0])), [1.0], rtol=1e-15)
+        pre = PrecomputedEstimator(scalar_wiener_model())
+        npt.assert_allclose(pre.estimate(np.array([2.0])), [1.0], rtol=1e-15)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(4)
         model = random_model(rng, 3, 2, 2, 2)
-        pre = precompute(model)
+        pre = PrecomputedEstimator(model)
         ys = rng.normal(size=(9, 2))
         batch = pre.estimate(ys)
         for i, y in enumerate(ys):
@@ -151,20 +164,20 @@ class TestMmseEstimate:
 
     def test_nonlinearity(self):
         # genuine 2-component prior: xhat(y1+y2) != xhat(y1)+xhat(y2)-xhat(0)
-        pre = precompute(two_component_1d_model())
+        pre = PrecomputedEstimator(two_component_1d_model())
         y1, y2 = np.array([0.8]), np.array([-1.3])
         lhs = pre.estimate(y1 + y2)
         rhs = pre.estimate(y1) + pre.estimate(y2) - pre.estimate(np.zeros(1))
         assert abs(float(lhs[0] - rhs[0])) > 1e-3
 
     def test_dimension_mismatch(self):
-        pre = precompute(scalar_wiener_model())
+        pre = PrecomputedEstimator(scalar_wiener_model())
         with pytest.raises(ValidationError, match="dimension"):
             pre.estimate(np.zeros(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_observation_rejected(self, bad):
-        pre = precompute(two_component_1d_model())
+        pre = PrecomputedEstimator(two_component_1d_model())
         for y in (np.array([bad]), np.array([[0.5], [bad]])):
             with pytest.raises(ValidationError, match="non-finite"):
                 pre.estimate(y)
@@ -174,26 +187,26 @@ class TestMmseEstimate:
             pre.responsibilities(np.array([bad]))
 
     def test_scalar_observation_on_1d_model(self):
-        pre = precompute(two_component_1d_model())
+        pre = PrecomputedEstimator(two_component_1d_model())
         est = pre.estimate(np.float64(0.7))
         assert est.shape == (1,)
         npt.assert_array_equal(est, pre.estimate(np.array([0.7])))
         assert pre.responsibilities(0.7).shape == (2, 2)
 
     def test_scalar_observation_on_wider_model_rejected(self):
-        pre = precompute(random_model(np.random.default_rng(6), 2, 2, 2, 1))
+        pre = PrecomputedEstimator(random_model(np.random.default_rng(6), 2, 2, 2, 1))
         with pytest.raises(ValidationError, match="dimension"):
             pre.estimate(0.7)
 
     def test_three_dimensional_observation_rejected(self):
-        pre = precompute(scalar_wiener_model())
+        pre = PrecomputedEstimator(scalar_wiener_model())
         with pytest.raises(ValidationError, match="vector or a batch"):
             pre.estimate(np.zeros((2, 3, 1)))
 
     def test_concurrent_reads_consistent(self):
         rng = np.random.default_rng(5)
         model = random_model(rng, 3, 3, 3, 2)
-        pre = precompute(model)
+        pre = PrecomputedEstimator(model)
         ys = rng.normal(size=(32, 3))
         expected = [pre.estimate(y) for y in ys]
         with ThreadPoolExecutor(max_workers=8) as pool:
@@ -206,31 +219,31 @@ class TestPosterior:
     def test_mean_equals_estimate_exactly(self):
         rng = np.random.default_rng(6)
         model = random_model(rng, 2, 3, 3, 2)
-        pre = precompute(model)
+        pre = PrecomputedEstimator(model)
         for _ in range(10):
             y = rng.normal(size=3)
-            post = posterior(pre, y)
+            post = pre.posterior(y)
             npt.assert_array_equal(post.mean(), pre.estimate(y))
 
     def test_component_covariances_independent_of_y(self):
         # views of the one precomputed array, not recomputed per call
-        pre = precompute(two_component_1d_model())
-        post_a = posterior(pre, np.array([0.3]))
-        post_b = posterior(pre, np.array([-5.0]))
+        pre = PrecomputedEstimator(two_component_1d_model())
+        post_a = pre.posterior(np.array([0.3]))
+        post_b = pre.posterior(np.array([-5.0]))
         assert np.shares_memory(post_a.component_covariances, pre.comp_post_covs)
         npt.assert_array_equal(post_a.component_covariances, post_b.component_covariances)
 
     def test_single_component_special_case(self):
-        pre = precompute(scalar_wiener_model())
-        post = posterior(pre, np.array([2.0]))
+        pre = PrecomputedEstimator(scalar_wiener_model())
+        post = pre.posterior(np.array([2.0]))
         npt.assert_allclose(post.mean(), [1.0], rtol=1e-15)
         npt.assert_allclose(post.covariance(), [[0.5]], rtol=1e-15)
 
     def test_density_matches_bayes_rule_pointwise(self):
         model = two_component_1d_model()
-        pre = precompute(model)
+        pre = PrecomputedEstimator(model)
         y = np.array([0.6])
-        post = posterior(pre, y)
+        post = pre.posterior(y)
         post_mix = GaussianMixture.from_parameters(
             post.responsibilities.reshape(-1),
             list(post.component_means.reshape(-1, 1)),
@@ -249,42 +262,42 @@ class TestPosterior:
     def test_responsibility_table_shape_and_sum(self):
         rng = np.random.default_rng(7)
         model = random_model(rng, 2, 2, 4, 3)
-        pre = precompute(model)
-        post = posterior(pre, rng.normal(size=2))
+        pre = PrecomputedEstimator(model)
+        post = pre.posterior(rng.normal(size=2))
         assert post.responsibilities.shape == (4, 3)
         assert post.responsibilities.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPosteriorCovariance:
     def test_single_component(self):
-        pre = precompute(scalar_wiener_model())
-        post = posterior(pre, np.array([1.3]))
-        npt.assert_allclose(posterior_covariance(post), [[0.5]], rtol=1e-15)
+        pre = PrecomputedEstimator(scalar_wiener_model())
+        post = pre.posterior(np.array([1.3]))
+        npt.assert_allclose(post.covariance(), [[0.5]], rtol=1e-15)
 
     def test_trace_dominates_average_component_trace(self):
         rng = np.random.default_rng(8)
         model = random_model(rng, 3, 3, 3, 2)
-        pre = precompute(model)
+        pre = PrecomputedEstimator(model)
         for _ in range(5):
-            post = posterior(pre, rng.normal(size=3))
+            post = pre.posterior(rng.normal(size=3))
             avg = float(
                 post.responsibilities.reshape(-1)
                 @ np.trace(post.component_covariances.reshape(-1, 3, 3), axis1=1, axis2=2)
             )
-            assert np.trace(posterior_covariance(post)) >= avg - 1e-12
+            assert np.trace(post.covariance()) >= avg - 1e-12
 
     def test_matches_quadrature_conditional_variance(self):
         model = two_component_1d_model()
-        pre = precompute(model)
+        pre = PrecomputedEstimator(model)
         y = 0.0
-        post = posterior(pre, np.array([y]))
+        post = pre.posterior(np.array([y]))
         grid = np.linspace(-9.0, 9.0, 40001)
         log_w = model.x_prior.log_density(grid) + model.noise.log_density(y - grid)
         w = np.exp(log_w - log_w.max())
         mass = np.trapezoid(w, grid)
         mean = np.trapezoid(w * grid, grid) / mass
         var = np.trapezoid(w * (grid - mean) ** 2, grid) / mass
-        assert float(posterior_covariance(post)[0, 0]) == pytest.approx(var, abs=1e-8)
+        assert float(post.covariance()[0, 0]) == pytest.approx(var, abs=1e-8)
 
 
 class TestInformationFormIdentity:
@@ -292,7 +305,7 @@ class TestInformationFormIdentity:
         rng = np.random.default_rng(9)
         for _ in range(5):
             model = random_model(rng, 3, 3, 2, 2)
-            pre = precompute(model)
+            pre = PrecomputedEstimator(model)
             y = rng.normal(size=3)
             reference = information_form_means(model, y)
             ours = pre._component_means(y[None, :])[:, 0, :]
@@ -304,7 +317,7 @@ class TestLmmse:
     def test_gaussian_case_matches_mmse(self):
         rng = np.random.default_rng(10)
         model = random_model(rng, 3, 2, 1, 1)
-        pre = precompute(model)
+        pre = PrecomputedEstimator(model)
         lmmse = LmmseEstimator(model)
         for _ in range(20):
             y = rng.normal(size=2)
@@ -317,14 +330,14 @@ class TestLmmse:
         model = random_model(rng, 3, 3, 3, 2)
         y = model.H @ model.x_prior.mean() + model.noise.mean()
         npt.assert_allclose(
-            lmmse_estimate(model, y), model.x_prior.mean(), atol=1e-10
+            LmmseEstimator(model).estimate(y), model.x_prior.mean(), atol=1e-10
         )
 
     def test_large_noise_returns_prior_mean(self):
         rng = np.random.default_rng(12)
         model = scale_noise(random_model(rng, 2, 2, 3, 2), 1e6)
         y = rng.normal(size=2, scale=1e6)
-        est = lmmse_estimate(model, y)
+        est = LmmseEstimator(model).estimate(y)
         # gain decays as a^-2 while ||y|| grows as a, so the residual is O(1/a)
         assert np.linalg.norm(est - model.x_prior.mean()) < 1e-4
 
@@ -371,12 +384,93 @@ class TestObservationDensityConsistency:
     def test_precomputed_log_pdfs_match_observation_mixture(self):
         rng = np.random.default_rng(15)
         model = random_model(rng, 2, 2, 3, 2)
-        pre = precompute(model)
+        pre = PrecomputedEstimator(model)
         obs = observation_mixture(model)
         ys = rng.normal(size=(5, 2))
         from scipy.special import logsumexp
 
-        per_pair = pre.log_observation_pdfs(ys) + pre.log_prior[:, None]
+        per_pair = pre.log_observation_pdfs(ys) + pre.obs.log_weights[:, None]
         npt.assert_allclose(
             logsumexp(per_pair, axis=0), obs.log_density(ys), rtol=1e-12
         )
+
+    def test_kernel_matches_per_pair_triangular_solves(self):
+        # Both kernels are backward stable, so they may differ by roundoff
+        # amplified by the condition number of the pair's Cholesky factor: a
+        # nearly singular H makes that 1e5 at high SNR, where both carry a
+        # 1e-6 relative error against an extended-precision evaluation.
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            model = random_model(rng, 4, 4, 4, 4)
+            for snr_db in (-120.0, 0.0, 60.0, 120.0, 200.0):
+                scaled, _ = calibrate_noise_scale(model, snr_db)
+                pre = PrecomputedEstimator(scaled)
+                ys = scaled.x_prior.sample(20, rng.integers(2**32)) @ scaled.H.T \
+                    + scaled.noise.sample(20, rng.integers(2**32))
+                reference = triangular_solve_log_pdfs(pre.obs, ys)
+                deviation = np.abs(pre.log_observation_pdfs(ys) - reference)
+                kappa = np.linalg.cond(pre.obs.chols)[:, None]
+                assert np.all(deviation <= 1e-13 * kappa * np.abs(reference))
+
+
+# One estimator per observation dimension: m = 1, where a scalar is one
+# observation, and m = 2, where it is rejected.
+CONTRACT_ESTIMATORS = {
+    1: PrecomputedEstimator(two_component_1d_model()),
+    2: PrecomputedEstimator(random_model(np.random.default_rng(17), 3, 2, 2, 3)),
+}
+
+
+class TestInputContract:
+    """Shape and dtype contract of the estimator entry points, by property."""
+
+    @pytest.mark.parametrize("m", sorted(CONTRACT_ESTIMATORS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_estimate(self, m, data):
+        pre = CONTRACT_ESTIMATORS[m]
+        kind, y = data.draw(point_inputs(m))
+        if rejected_input(kind, m):
+            with pytest.raises(ValidationError):
+                pre.estimate(y)
+            return
+        out = pre.estimate(y)
+        d = pre.model.signal_dim
+        assert out.dtype == np.float64
+        assert out.shape == ((len(y), d) if kind == "batch" else (d,))
+        assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("m", sorted(CONTRACT_ESTIMATORS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_responsibilities(self, m, data):
+        pre = CONTRACT_ESTIMATORS[m]
+        kind, y = data.draw(point_inputs(m))
+        if rejected_input(kind, m):
+            with pytest.raises(ValidationError):
+                pre.responsibilities(y)
+            return
+        alpha = pre.responsibilities(y)
+        table = (pre.n_signal, pre.n_noise)
+        assert alpha.dtype == np.float64
+        assert alpha.shape == (table + (len(y),) if kind == "batch" else table)
+        assert np.all(alpha >= 0.0)
+        npt.assert_allclose(alpha.sum(axis=(0, 1)), 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("m", sorted(CONTRACT_ESTIMATORS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_posterior(self, m, data):
+        pre = CONTRACT_ESTIMATORS[m]
+        kind, y = data.draw(point_inputs(m))
+        if rejected_input(kind, m) or kind == "batch":
+            with pytest.raises(ValidationError):
+                pre.posterior(y)
+            return
+        post = pre.posterior(y)
+        table, d = (pre.n_signal, pre.n_noise), pre.model.signal_dim
+        assert post.responsibilities.shape == table
+        assert post.component_means.shape == table + (d,)
+        assert post.component_covariances.shape == table + (d, d)
+        assert post.mean().dtype == np.float64
+        assert post.covariance().shape == (d, d)

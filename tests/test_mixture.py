@@ -21,7 +21,7 @@ from gmbayes import (
     validate,
 )
 
-from conftest import random_mixture, random_spd
+from conftest import point_inputs, random_mixture, random_spd, rejected_input
 
 # Frozen reference values (extended-precision evaluation, 50 digits).
 STD_NORMAL_LOG_PDF_AT_0 = -0.9189385332046728
@@ -225,6 +225,23 @@ class TestLogDensity:
             [0.4, 0.6], [np.array([-2.0]), np.array([5.0])], [np.eye(1), 2 * np.eye(1)]
         )
         assert math.isfinite(mix.log_density(np.array([point])))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_input_contract(self, dim, data):
+        mix = random_mixture(np.random.default_rng(dim), dim, 3)
+        kind, x = data.draw(point_inputs(dim))
+        if rejected_input(kind, dim):
+            with pytest.raises(ValidationError):
+                mix.log_density(x)
+            return
+        out = mix.log_density(x)
+        if kind == "batch":
+            assert out.dtype == np.float64 and out.shape == (len(x),)
+            assert np.all(np.isfinite(out))
+        else:
+            assert isinstance(out, float) and math.isfinite(out)
 
 
 # ------------------------------------------------------------------ sampling

@@ -7,6 +7,7 @@ import gmbayes.montecarlo as mc
 from gmbayes import (
     BayesianLinearModel,
     GaussianMixture,
+    PrecomputedEstimator,
     SweepConfig,
     ValidationError,
     derive_seed,
@@ -15,7 +16,6 @@ from gmbayes import (
     lmmse_upper_bound,
     load_config,
     packaged_config,
-    precompute,
     run_sweep,
 )
 
@@ -64,7 +64,7 @@ class TestEstimateMse:
     def test_mmse_between_bounds(self):
         model = oracle_model()
         mse, stderr = estimate_mse(model, 100_000, seed=7)
-        assert genie_lower_bound(precompute(model)) - 3 * stderr <= mse
+        assert genie_lower_bound(PrecomputedEstimator(model)) - 3 * stderr <= mse
         assert mse <= lmmse_upper_bound(model) + 3 * stderr
 
     def test_deterministic(self):
@@ -98,6 +98,15 @@ class TestSweepConfig:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValidationError, match="trials"):
             SweepConfig(scalar_wiener_model(), (0.0,), trials=0, seed=0)
+
+    def test_single_trial_rejected(self):
+        # the same rule as estimate_mse: a standard error needs two trials
+        with pytest.raises(ValidationError, match="trials 1 < 2"):
+            SweepConfig(scalar_wiener_model(), (0.0,), trials=1, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed -5 is negative"):
+            SweepConfig(scalar_wiener_model(), (0.0,), trials=10, seed=-5)
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValidationError, match="unknown estimator"):

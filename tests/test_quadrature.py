@@ -6,6 +6,7 @@ import pytest
 from gmbayes import (
     BayesianLinearModel,
     GaussianMixture,
+    PrecomputedEstimator,
     QuadratureSpec,
     ValidationError,
     estimate_mse,
@@ -14,7 +15,6 @@ from gmbayes import (
     load_config,
     observation_mixture,
     packaged_config,
-    precompute,
     quad_mse,
     quad_posterior_mean,
 )
@@ -111,7 +111,7 @@ class TestQuadPosteriorMean:
 
     def test_matches_analytic_estimator(self):
         run = load_config(packaged_config("oracle1d.config"))
-        pre = precompute(run.model)
+        pre = PrecomputedEstimator(run.model)
         ys = np.linspace(-6.0, 6.0, 101)
         analytic = pre.estimate(ys[:, None])[:, 0]
         reference = quad_posterior_mean(run.model, ys, SPEC)
@@ -146,7 +146,7 @@ class TestQuadMse:
 
     def test_inside_analytic_bounds(self):
         run = load_config(packaged_config("oracle1d.config"))
-        pre = precompute(run.model)
+        pre = PrecomputedEstimator(run.model)
         value = quad_mse(run.model, SPEC)
         assert genie_lower_bound(pre) - 1e-8 <= value <= lmmse_upper_bound(run.model) + 1e-8
 
