@@ -6,9 +6,11 @@ posterior of ``x`` given ``y`` is again a Gaussian mixture, so the MMSE
 estimator (the posterior mean) has a closed form: a responsibility-weighted
 sum of per-component Wiener estimates. This package provides
 
-* the mixture toolkit (:mod:`gmbayes.mixture`): densities, moments,
-  sampling, characteristic function, affine transforms, independent joins,
-  marginals;
+* the mixture toolkit (:mod:`gmbayes.mixture`): one stacked representation
+  of a mixture (weights, means, covariances, Cholesky factors), validated
+  once at construction; densities, moments, sampling, characteristic
+  function, and affine transforms, independent joins and marginals as
+  array operations;
 * the model layer (:mod:`gmbayes.model`): observation/joint mixtures, SNR,
   noise-scale calibration;
 * the estimators (:mod:`gmbayes.estimators`): precomputed MMSE estimator,
@@ -23,20 +25,18 @@ sum of per-component Wiener estimates. This package provides
 """
 
 from .bounds import BoundsReport, bounds_report, genie_lower_bound, lmmse_upper_bound
-from .config import ConfigError, RunConfig, SweepSettings, load_config, packaged_config, parse_config
+from .config import ConfigError, RunConfig, load_config, packaged_config, parse_config
 from .estimators import (
     LmmseEstimator,
     PosteriorGM,
     PrecomputedEstimator,
 )
 from .mixture import (
-    GaussianComponent,
     GaussianMixture,
     ValidationError,
     affine_transform,
     independent_join,
     marginal,
-    validate,
 )
 from .model import (
     BayesianLinearModel,
@@ -67,7 +67,6 @@ __all__ = [
     "BoundsReport",
     "ConfigError",
     "CsvRow",
-    "GaussianComponent",
     "GaussianMixture",
     "LmmseEstimator",
     "PosteriorGM",
@@ -77,7 +76,6 @@ __all__ = [
     "SWEEP_CSV_HEADER",
     "SweepConfig",
     "SweepPoint",
-    "SweepSettings",
     "ValidationError",
     "affine_transform",
     "bounds_report",
@@ -104,7 +102,6 @@ __all__ = [
     "snr",
     "snr_db",
     "to_db",
-    "validate",
     "write_sweep_csv",
     "write_sweep_svg",
     "__version__",

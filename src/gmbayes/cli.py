@@ -26,7 +26,7 @@ from .estimators import PrecomputedEstimator
 from .mixture import ValidationError
 from .model import snr, snr_db
 from .montecarlo import run_sweep
-from .quadrature import QuadratureSpec, quad_mse, quad_posterior_mean, support_grid
+from .quadrature import QuadratureSpec, _check_scalar_model, quad_mse, quad_posterior_mean, support_grid
 from .svg import write_sweep_svg
 from .sweepio import write_sweep_csv
 
@@ -67,8 +67,8 @@ def cmd_validate(args) -> int:
     print(f"config: {args.config}")
     print(f"signal dimension d = {model.signal_dim}")
     print(f"observation dimension m = {model.observation_dim}")
-    print(f"signal components |K| = {len(model.x_prior.components)}")
-    print(f"noise components |L| = {len(model.noise.components)}")
+    print(f"signal components |K| = {len(model.x_prior)}")
+    print(f"noise components |L| = {len(model.noise)}")
     print(f"signal mean = {_fmt_vector(model.x_prior.mean())}")
     print(f"signal second moment E||x||^2 = {model.x_prior.second_moment_trace():.12g}")
     print(f"noise mean = {_fmt_vector(model.noise.mean())}")
@@ -121,11 +121,7 @@ def cmd_sweep(args) -> int:
 def cmd_oracle_check(args) -> int:
     run = load_config(args.config)
     model = run.model
-    if model.signal_dim != 1 or model.observation_dim != 1:
-        raise ValidationError(
-            "oracle-check supports 1-D models only; got signal dim "
-            f"{model.signal_dim}, observation dim {model.observation_dim}"
-        )
+    _check_scalar_model(model)
     spec = QuadratureSpec(grid_points=args.grid_points, span_sigmas=args.span_sigmas)
     pre = PrecomputedEstimator(model)
     y_values = support_grid(pre.obs, _ORACLE_SPAN, _ORACLE_POINTS)

@@ -24,9 +24,9 @@ Every parse error names the offending field by its path (for example
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -34,11 +34,10 @@ import numpy as np
 
 from .mixture import GaussianMixture, ValidationError
 from .model import BayesianLinearModel
-from .montecarlo import ESTIMATOR_NAMES, SweepConfig
+from .montecarlo import ESTIMATOR_NAMES, SweepConfig, _sweep_integer
 
 __all__ = [
     "ConfigError",
-    "SweepSettings",
     "RunConfig",
     "parse_config",
     "load_config",
@@ -56,22 +55,12 @@ class ConfigError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-@dataclass(frozen=True)
-class SweepSettings:
-    """Sweep parameters as read from the file (grid already expanded)."""
-
-    snr_db_grid: tuple[float, ...]
-    trials: int
-    seed: int
-    estimators: tuple[str, ...]
-
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
-    """Parsed configuration: the model plus optional sweep settings."""
+    """Parsed configuration: the model plus the optional sweep."""
 
     model: BayesianLinearModel
-    sweep: SweepSettings | None
+    sweep: SweepConfig | None
 
     def sweep_config(
         self,
@@ -79,16 +68,13 @@ class RunConfig:
         seed: int | None = None,
         estimators: tuple[str, ...] | None = None,
     ) -> SweepConfig:
-        """Build a :class:`SweepConfig`, applying command-line overrides."""
+        """The file's :class:`SweepConfig` with command-line overrides applied."""
         if self.sweep is None:
             raise ConfigError("sweep", "missing section (required for sweeps)")
+        overrides = {"trials": trials, "seed": seed, "estimators": estimators}
         try:
-            return SweepConfig(
-                model=self.model,
-                snr_db_grid=self.sweep.snr_db_grid,
-                trials=self.sweep.trials if trials is None else trials,
-                seed=self.sweep.seed if seed is None else seed,
-                estimators=self.sweep.estimators if estimators is None else estimators,
+            return dataclasses.replace(
+                self.sweep, **{k: v for k, v in overrides.items() if v is not None}
             )
         except ValidationError as exc:
             raise ConfigError("sweep", str(exc)) from exc
@@ -116,12 +102,6 @@ def _number(value, path: str) -> float:
     if not math.isfinite(value):
         raise ConfigError(path, f"must be finite, got {value}")
     return float(value)
-
-
-def _integer(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {type(value).__name__}")
-    return value
 
 
 def _vector(value, path: str) -> np.ndarray:
@@ -184,18 +164,18 @@ def _grid(section: dict, path: str) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(count))
 
 
-def _sweep(value, path: str) -> SweepSettings:
+def _sweep(value, path: str, model: BayesianLinearModel) -> SweepConfig:
     section = _mapping(
         value,
         path,
         ("snr_db_start", "snr_db_stop", "snr_db_step", "trials", "seed", "estimators"),
     )
-    trials = _integer(_require(section, "trials", path), f"{path}.trials")
-    if trials < 2:
-        raise ConfigError(f"{path}.trials", f"must be at least 2, got {trials}")
-    seed = _integer(_require(section, "seed", path), f"{path}.seed")
-    if seed < 0:
-        raise ConfigError(f"{path}.seed", f"must be non-negative, got {seed}")
+    counts = {}
+    for name in ("trials", "seed"):
+        try:
+            counts[name] = _sweep_integer(name, _require(section, name, path))
+        except ValidationError as exc:
+            raise ConfigError(f"{path}.{name}", str(exc)) from exc
     raw_estimators = section.get("estimators", list(ESTIMATOR_NAMES))
     if not isinstance(raw_estimators, list):
         raise ConfigError(f"{path}.estimators", "expected a list of estimator names")
@@ -205,11 +185,11 @@ def _sweep(value, path: str) -> SweepSettings:
                 f"{path}.estimators[{i}]",
                 f"unknown estimator {name!r}; expected a subset of {ESTIMATOR_NAMES}",
             )
-    return SweepSettings(
+    return SweepConfig(
+        model=model,
         snr_db_grid=_grid(section, path),
-        trials=trials,
-        seed=seed,
         estimators=tuple(raw_estimators),
+        **counts,
     )
 
 
@@ -221,7 +201,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("", f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     top = _mapping(document, "", ("model", "sweep"))
     model = _model(_require(top, "model", "model"), "model")
-    sweep = _sweep(top["sweep"], "sweep") if "sweep" in top else None
+    sweep = _sweep(top["sweep"], "sweep", model) if "sweep" in top else None
     return RunConfig(model=model, sweep=sweep)
 
 

@@ -77,11 +77,11 @@ class PrecomputedEstimator:
         obs = observation_mixture(model)
         n_noise = len(model.noise)
         gains, post_covs = [], []
-        for k, cx in enumerate(model.x_prior.components):
-            h_cov = model.H @ cx.covariance  # rows of C_yx = H C_x^(k)
+        for k, x_cov in enumerate(model.x_prior.covariances):
+            h_cov = model.H @ x_cov  # rows of C_yx = H C_x^(k)
             for chol in obs.chols[k * n_noise:(k + 1) * n_noise]:
                 gain = cho_solve((chol, True), h_cov).T
-                post_cov = cx.covariance - gain @ h_cov
+                post_cov = x_cov - gain @ h_cov
                 gains.append(gain)
                 post_covs.append(0.5 * (post_cov + post_cov.T))
 

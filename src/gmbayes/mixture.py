@@ -1,16 +1,21 @@
 """Finite Gaussian mixture distributions.
 
-A mixture is an ordered list of weighted Gaussian components. This module
-provides construction with eager invariant checking, first and second
-moments, log-density evaluation in the log domain, reproducible sampling,
-and the transform toolkit (affine maps, independent joins, marginals,
-characteristic functions) that the estimator modules build on.
+A mixture is one stacked representation: arrays of component weights
+``(K,)``, means ``(K, d)``, covariances ``(K, d, d)`` and their lower
+Cholesky factors ``(K, d, d)``, validated once, by the constructor. This
+module provides that construction, first and second moments, log-density
+evaluation in the log domain, reproducible sampling, and the transform
+toolkit (affine maps, independent joins, marginals, characteristic
+functions) that the estimator modules build on. Every transform is a few
+array operations on the stacked arrays followed by the one validating
+constructor.
 
 Numerical conventions:
 
-* Every component covariance must be symmetric positive definite; its lower
-  Cholesky factor is computed once at construction and reused everywhere.
-  There is no automatic jitter: a non-PD covariance is a hard error.
+* Every component covariance must be symmetric positive definite; the lower
+  Cholesky factors are computed once at construction (one batched
+  factorization) and reused everywhere. There is no automatic jitter: a
+  non-PD covariance is a hard error that names the component.
 * Densities are only ever evaluated in the log domain, so component
   likelihoods that underflow a double do not poison mixtures. All components
   are evaluated together: deviations from the means are whitened with the
@@ -25,16 +30,14 @@ Numerical conventions:
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.linalg import block_diag, solve_triangular
+from scipy.linalg import solve_triangular
 
 __all__ = [
     "ValidationError",
-    "GaussianComponent",
     "GaussianMixture",
-    "validate",
     "affine_transform",
     "independent_join",
     "marginal",
@@ -51,7 +54,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 class ValidationError(ValueError):
-    """An invariant of a component, mixture, or model does not hold."""
+    """An invariant of a mixture, a model, or an input does not hold."""
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -59,149 +62,78 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class GaussianComponent:
-    """One weighted Gaussian component ``(weight, mean, covariance)``.
-
-    Parameters
-    ----------
-    weight : float
-        Nonnegative component probability. Zero weights are allowed; such
-        components stay in all formulas but are never sampled.
-    mean : array_like, shape (d,)
-        Component mean. Scalars are promoted to dimension 1.
-    covariance : array_like, shape (d, d)
-        Symmetric positive definite component covariance. Scalars are
-        promoted to a 1x1 matrix.
-
-    Raises
-    ------
-    ValidationError
-        On non-finite entries, shape mismatch, negative weight, asymmetry
-        beyond ``SYMMETRY_RTOL`` relative to the largest entry, or a
-        covariance whose Cholesky factorization fails.
-
-    Notes
-    -----
-    Instances are immutable: the stored arrays are marked read-only and the
-    lower Cholesky factor is computed eagerly and cached as ``chol``.
-    """
-
-    __slots__ = ("weight", "mean", "covariance", "chol")
-
-    def __init__(self, weight: float, mean, covariance, *, _label: str = "component"):
-        weight = float(weight)
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        covariance = np.atleast_2d(np.asarray(covariance, dtype=float))
-
-        if not math.isfinite(weight):
-            raise ValidationError(f"{_label}: weight {weight} is not finite")
-        if weight < 0.0:
-            raise ValidationError(f"{_label}: weight {weight} is negative")
-        if mean.ndim != 1 or mean.size < 1:
-            raise ValidationError(f"{_label}: mean must be a 1-D vector")
-        if not np.all(np.isfinite(mean)):
-            raise ValidationError(f"{_label}: mean has non-finite entries")
-        d = mean.shape[0]
-        if covariance.shape != (d, d):
-            raise ValidationError(
-                f"{_label}: covariance shape {covariance.shape} does not match dimension {d}"
-            )
-        if not np.all(np.isfinite(covariance)):
-            raise ValidationError(f"{_label}: covariance has non-finite entries")
-
-        scale = np.abs(covariance).max()
-        asym = np.abs(covariance - covariance.T).max()
-        if asym > SYMMETRY_RTOL * max(scale, 1.0):
-            raise ValidationError(
-                f"{_label}: covariance not symmetric (max asymmetry {asym:.3e})"
-            )
-        try:
-            chol = np.linalg.cholesky(covariance)
-        except np.linalg.LinAlgError:
-            raise ValidationError(f"{_label}: covariance not positive definite") from None
-
-        self.weight = weight
-        self.mean = _frozen(mean)
-        self.covariance = _frozen(covariance)
-        self.chol = _frozen(chol)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"GaussianComponent(weight={self.weight!r}, mean={self.mean!r}, "
-            f"covariance={self.covariance!r})"
-        )
-
-
 class GaussianMixture:
-    """A finite Gaussian mixture: nonempty ordered components of equal dimension.
+    """A finite Gaussian mixture, held as stacked, read-only component arrays.
 
-    Parameters
-    ----------
-    components : iterable of GaussianComponent
-        The components, kept in the given order.
-    renormalize : bool, keyword only
-        When true (the default, for user-facing construction) the weight sum
-        is checked against 1 within ``WEIGHT_SUM_TOL`` and the weights are
-        then divided by their sum once. Transform operations that already
-        carry normalized weights pass ``False`` so weights flow through
-        bit-exactly.
+    ``weights`` has shape ``(K,)``, ``means`` ``(K, d)`` and ``covariances``
+    ``(K, d, d)``. Zero weights are allowed: such components stay in every
+    formula but are never sampled. The weights may also form a ``(K, L)``
+    grid, with means and covariances to match; the components are then
+    stored flat in row-major order and errors name them ``component (k,l)``.
 
-    Notes
-    -----
-    Instances are immutable after construction and safe for unrestricted
-    concurrent reads. Stacked views of the weights, means, covariances, and
-    Cholesky factors are exposed for vectorized consumers.
+    The constructor is the one place that validates a mixture. It rejects
+    shape mismatches, non-finite entries, negative weights, a weight sum off
+    1 by more than ``WEIGHT_SUM_TOL``, asymmetry beyond ``SYMMETRY_RTOL``
+    relative to a covariance's largest entry, and covariances whose Cholesky
+    factorization fails, naming the first offending component. With
+    ``renormalize`` (user-facing construction) the weights are divided by
+    their sum once; transforms pass ``False`` so weights flow through
+    bit-exactly. Instances are immutable and safe for concurrent reads.
     """
 
-    __slots__ = (
-        "components", "dim", "weights", "log_weights", "means", "covariances", "chols",
-        "_inv_chols", "_log_norms",
-    )
+    __slots__ = ("dim", "weights", "log_weights", "means", "covariances", "chols",
+                 "_inv_chols", "_log_norms")
 
-    def __init__(self, components: Iterable[GaussianComponent], *, renormalize: bool = True):
-        components = tuple(components)
-        if not components:
+    def __init__(self, weights, means, covariances, *, renormalize: bool = True):
+        weights = np.array(weights, dtype=float)
+        means = np.array(means, dtype=float)
+        covariances = np.array(covariances, dtype=float)
+        grid = weights.shape
+        if weights.ndim not in (1, 2) or weights.size == 0:
             raise ValidationError("mixture must have at least one component")
-        for i, comp in enumerate(components):
-            if not isinstance(comp, GaussianComponent):
-                raise ValidationError(f"component {i}: not a GaussianComponent")
-        d = components[0].dim
-        for i, comp in enumerate(components):
-            if comp.dim != d:
-                raise ValidationError(
-                    f"component {i}: dimension {comp.dim} does not match component 0 ({d})"
-                )
+        if means.shape[:-1] != grid or means.shape[-1:] == (0,):
+            raise ValidationError(f"means shape {means.shape} does not match weights shape {grid}")
+        d = means.shape[-1]
+        if covariances.shape != grid + (d, d):
+            raise ValidationError(f"covariance shape {covariances.shape} does not match dimension {d}")
+        weights = weights.reshape(-1)
+        means = means.reshape(-1, d)
+        covariances = covariances.reshape(-1, d, d)
 
-        total = math.fsum(comp.weight for comp in components)
+        _reject(~np.isfinite(weights), grid, lambda i: f"weight {weights[i]} is not finite")
+        _reject(~np.isfinite(means).all(axis=1), grid, lambda i: "mean has non-finite entries")
+        _reject(~np.isfinite(covariances).all(axis=(1, 2)), grid,
+                lambda i: "covariance has non-finite entries")
+        _reject(weights < 0.0, grid, lambda i: f"weight {weights[i]} is negative")
+        total = math.fsum(weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValidationError(
-                f"weights sum {total:.10g}, must equal 1 within {WEIGHT_SUM_TOL:g}"
-            )
+            raise ValidationError(f"weights sum {total:.10g}, must equal 1 within {WEIGHT_SUM_TOL:g}")
         if renormalize and total != 1.0:
-            components = tuple(
-                GaussianComponent(c.weight / total, c.mean, c.covariance, _label=f"component {i}")
-                for i, c in enumerate(components)
-            )
+            weights = weights / total
+        scale = np.abs(covariances).max(axis=(1, 2))
+        asym = np.abs(covariances - np.swapaxes(covariances, 1, 2)).max(axis=(1, 2))
+        _reject(asym > SYMMETRY_RTOL * np.maximum(scale, 1.0), grid,
+                lambda i: f"covariance not symmetric (max asymmetry {asym[i]:.3e})")
+        try:
+            chols = np.linalg.cholesky(covariances)
+        except np.linalg.LinAlgError:
+            _reject([not _positive_definite(c) for c in covariances], grid,
+                    lambda i: "covariance not positive definite")
+            raise
 
-        self.components = components
         self.dim = d
-        self.weights = _frozen(np.array([c.weight for c in components]))
+        self.weights = _frozen(weights)
         with np.errstate(divide="ignore"):
-            self.log_weights = _frozen(np.log(self.weights))
-        self.means = _frozen(np.stack([c.mean for c in components]))
-        self.covariances = _frozen(np.stack([c.covariance for c in components]))
-        self.chols = _frozen(np.stack([c.chol for c in components]))
+            self.log_weights = _frozen(np.log(weights))
+        self.means = _frozen(means)
+        self.covariances = _frozen(covariances)
+        self.chols = _frozen(chols)
         eye = np.eye(d)
         self._inv_chols = _frozen(
-            np.stack([solve_triangular(c.chol, eye, lower=True) for c in components])
+            np.stack([solve_triangular(chol, eye, lower=True) for chol in chols])
         )
         self._log_norms = _frozen(
-            -0.5 * d * LOG_2PI
-            - np.sum(np.log(np.diagonal(self.chols, axis1=1, axis2=2)), axis=1)
+            -0.5 * d * LOG_2PI - np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
         )
 
     @classmethod
@@ -217,21 +149,20 @@ class GaussianMixture:
                 f"parameter lists disagree: {len(weights)} weights, "
                 f"{len(means)} means, {len(covariances)} covariances"
             )
-        return cls(
-            GaussianComponent(w, m, c, _label=f"component {i}")
-            for i, (w, m, c) in enumerate(zip(weights, means, covariances))
-        )
+        means = [np.atleast_1d(np.asarray(m, dtype=float)) for m in means]
+        covariances = [np.atleast_2d(np.asarray(c, dtype=float)) for c in covariances]
+        for what, arrays in (("mean", means), ("covariance", covariances)):
+            _reject([a.shape != arrays[0].shape for a in arrays], (len(arrays),),
+                    lambda i: f"{what} dimension {arrays[i].shape} does not match component 0")
+        return cls(weights, means, covariances)
 
     @classmethod
     def single(cls, mean, covariance) -> "GaussianMixture":
         """A one-component mixture (a plain Gaussian)."""
-        return cls([GaussianComponent(1.0, mean, covariance)])
+        return cls.from_parameters([1.0], [mean], [covariance])
 
     def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
+        return self.weights.shape[0]
 
     # -- moments ----------------------------------------------------------
 
@@ -313,16 +244,35 @@ class GaussianMixture:
         out = np.empty((count, self.dim))
         if count == 0:
             return out
-        idx = rng.choice(len(self.components), size=count, p=self.weights)
+        idx = rng.choice(len(self), size=count, p=self.weights)
         z = rng.standard_normal((count, self.dim))
-        for k, comp in enumerate(self.components):
+        for k in range(len(self)):
             rows = idx == k
             if np.any(rows):
-                out[rows] = comp.mean + z[rows] @ comp.chol.T
+                out[rows] = self.means[k] + z[rows] @ self.chols[k].T
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GaussianMixture(dim={self.dim}, components={len(self.components)})"
+        return f"GaussianMixture(dim={self.dim}, components={len(self)})"
+
+
+def _reject(bad, grid: tuple[int, ...], message) -> None:
+    """Raise :class:`ValidationError` for the first component flagged in ``bad``
+    (flat order), named by its index in ``grid``, with the fault ``message(i)``."""
+    flagged = np.flatnonzero(bad)
+    if flagged.size:
+        i = int(flagged[0])
+        index = ",".join(str(int(j)) for j in np.unravel_index(i, grid))
+        name = index if len(grid) == 1 else f"({index})"
+        raise ValidationError(f"component {name}: {message(i)}")
+
+
+def _positive_definite(covariance: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(covariance)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _as_batch(values, dim: int, what: str) -> tuple[np.ndarray, bool]:
@@ -363,20 +313,15 @@ def _log_sum_exp(logs: np.ndarray) -> np.ndarray:
         return peak + np.log1p(np.sum(rest, axis=0) + (np.count_nonzero(at_peak, axis=0) - 1))
 
 
-def validate(mixture: GaussianMixture) -> None:
-    """Re-check every invariant of an existing mixture.
+def _mapped_moments(mixture: GaussianMixture, transform: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Component means ``D u_k`` and symmetrized covariances ``D C_k D^T``.
 
-    Construction already enforces the invariants; this re-runs the checks
-    (for instance after unpickling) and raises ``ValidationError`` naming
-    the first violation.
+    The means are per-component mat-vecs, bit-identical to ``D @ u_k``; one
+    GEMM over the stacked means would round differently.
     """
-    GaussianMixture(
-        (
-            GaussianComponent(c.weight, c.mean, c.covariance, _label=f"component {i}")
-            for i, c in enumerate(mixture.components)
-        ),
-        renormalize=False,
-    )
+    means = (transform @ mixture.means[:, :, None])[:, :, 0]
+    covariances = transform @ mixture.covariances @ transform.T
+    return means, 0.5 * (covariances + np.swapaxes(covariances, 1, 2))
 
 
 def affine_transform(mixture: GaussianMixture, transform, offset=None) -> GaussianMixture:
@@ -406,16 +351,8 @@ def affine_transform(mixture: GaussianMixture, transform, offset=None) -> Gaussi
     offset = np.atleast_1d(np.asarray(offset, dtype=float))
     if offset.shape != (m,):
         raise ValidationError(f"offset shape {offset.shape} != ({m},)")
-
-    def build():
-        for i, c in enumerate(mixture.components):
-            cov = transform @ c.covariance @ transform.T
-            cov = 0.5 * (cov + cov.T)
-            yield GaussianComponent(
-                c.weight, transform @ c.mean + offset, cov, _label=f"component {i}"
-            )
-
-    return GaussianMixture(build(), renormalize=False)
+    means, covariances = _mapped_moments(mixture, transform)
+    return GaussianMixture(mixture.weights, means + offset, covariances, renormalize=False)
 
 
 def independent_join(first: GaussianMixture, second: GaussianMixture) -> GaussianMixture:
@@ -426,18 +363,17 @@ def independent_join(first: GaussianMixture, second: GaussianMixture) -> Gaussia
     stacked means, and block-diagonal covariances. All (k, l)-indexed
     arrays downstream share this ordering.
     """
-    comps = []
-    for k, a in enumerate(first.components):
-        for l, b in enumerate(second.components):
-            comps.append(
-                GaussianComponent(
-                    a.weight * b.weight,
-                    np.concatenate([a.mean, b.mean]),
-                    block_diag(a.covariance, b.covariance),
-                    _label=f"component ({k},{l})",
-                )
-            )
-    return GaussianMixture(comps, renormalize=False)
+    pairs = (len(first), len(second))
+    split, d = first.dim, first.dim + second.dim
+    means = np.empty(pairs + (d,))
+    means[:, :, :split] = first.means[:, None]
+    means[:, :, split:] = second.means[None]
+    covariances = np.zeros(pairs + (d, d))
+    covariances[:, :, :split, :split] = first.covariances[:, None]
+    covariances[:, :, split:, split:] = second.covariances[None]
+    return GaussianMixture(
+        np.outer(first.weights, second.weights), means, covariances, renormalize=False
+    )
 
 
 def marginal(mixture: GaussianMixture, keep: slice) -> GaussianMixture:
@@ -459,12 +395,8 @@ def marginal(mixture: GaussianMixture, keep: slice) -> GaussianMixture:
     if stop <= start:
         raise ValidationError(f"keep range [{start}, {stop}) is empty")
     return GaussianMixture(
-        (
-            GaussianComponent(
-                c.weight, c.mean[start:stop], c.covariance[start:stop, start:stop],
-                _label=f"component {i}",
-            )
-            for i, c in enumerate(mixture.components)
-        ),
+        mixture.weights,
+        mixture.means[:, start:stop],
+        mixture.covariances[:, start:stop, start:stop],
         renormalize=False,
     )

@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from .mixture import (
-    GaussianComponent,
     GaussianMixture,
     ValidationError,
+    _mapped_moments,
     affine_transform,
     independent_join,
 )
@@ -84,24 +84,18 @@ def observation_mixture(model: BayesianLinearModel) -> GaussianMixture:
 
     One component per signal/noise component pair, in row-major order
     (signal index outer, noise index inner): weight ``p_k q_l``, mean
-    ``H u_x^(k) + u_n^(l)``, covariance ``H C_x^(k) H^T + C_n^(l)``.
+    ``H u_x^(k) + u_n^(l)``, covariance ``H C_x^(k) H^T + C_n^(l)``. A pair
+    whose covariance is not numerically positive definite is rejected as
+    ``component (k,l)``.
     """
-    H = model.H
-    comps = []
-    for k, cx in enumerate(model.x_prior.components):
-        hy = H @ cx.mean
-        hch = H @ cx.covariance @ H.T
-        hch = 0.5 * (hch + hch.T)
-        for l, cn in enumerate(model.noise.components):
-            comps.append(
-                GaussianComponent(
-                    cx.weight * cn.weight,
-                    hy + cn.mean,
-                    hch + cn.covariance,
-                    _label=f"observation component ({k},{l})",
-                )
-            )
-    return GaussianMixture(comps, renormalize=False)
+    x, noise = model.x_prior, model.noise
+    h_means, h_covariances = _mapped_moments(x, model.H)
+    return GaussianMixture(
+        np.outer(x.weights, noise.weights),
+        h_means[:, None] + noise.means[None],
+        h_covariances[:, None] + noise.covariances[None],
+        renormalize=False,
+    )
 
 
 def joint_xy_mixture(model: BayesianLinearModel) -> GaussianMixture:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -78,6 +79,23 @@ def _squared_errors(x: np.ndarray, y: np.ndarray, predict) -> np.ndarray:
     return errors
 
 
+def _sweep_integer(name: str, value) -> int:
+    """``value`` as an ``int`` under the one sweep rule for ``name``: ``trials``
+    is an integer (per :func:`operator.index`, not a bool) of at least 2, as a
+    standard error needs two trials, and ``seed`` a non-negative integer."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ValidationError(f"{name} {value!r} is not an integer")
+    if name == "trials" and number < 2:
+        raise ValidationError(f"trials {number} < 2; the standard error needs at least 2")
+    if name == "seed" and number < 0:
+        raise ValidationError(f"seed {number} is negative")
+    return number
+
+
 def _mean_stderr(errors: np.ndarray) -> tuple[float, float]:
     n = errors.size
     mean = math.fsum(errors) / n
@@ -107,8 +125,8 @@ def estimate_mse(
     ``seed``; a sweep point with the same effective seed reproduces these
     numbers exactly.
     """
-    if trials < 2:
-        raise ValidationError(f"trials {trials} < 2; the standard error needs at least 2")
+    trials = _sweep_integer("trials", trials)
+    seed = _sweep_integer("seed", seed)
     predict = _predictor(model, None, estimator)
     x, y = _draw_observations(model, trials, seed)
     return _mean_stderr(_squared_errors(x, y, predict))
@@ -130,10 +148,8 @@ class SweepConfig:
             raise ValidationError("SNR grid is empty")
         if not all(math.isfinite(v) for v in grid):
             raise ValidationError("SNR grid has non-finite entries")
-        if self.trials < 2:
-            raise ValidationError(f"trials {self.trials} < 2; the standard error needs at least 2")
-        if self.seed < 0:
-            raise ValidationError(f"seed {self.seed} is negative")
+        object.__setattr__(self, "trials", _sweep_integer("trials", self.trials))
+        object.__setattr__(self, "seed", _sweep_integer("seed", self.seed))
         for name in self.estimators:
             if name not in ESTIMATOR_NAMES:
                 raise ValidationError(

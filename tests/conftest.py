@@ -6,6 +6,8 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from scipy.linalg import block_diag
+
 from gmbayes import BayesianLinearModel, GaussianMixture
 
 
@@ -22,8 +24,14 @@ def random_mixture(
     components: int,
     mean_scale: float = 2.0,
     cov_scale: float = 1.0,
+    zero_weight: bool = False,
 ) -> GaussianMixture:
+    """A random mixture; ``zero_weight`` sets one weight of a multi-component
+    mixture to zero."""
     weights = rng.dirichlet(np.ones(components))
+    if zero_weight and components > 1:
+        weights[rng.integers(components)] = 0.0
+        weights /= weights.sum()
     means = [rng.normal(scale=mean_scale, size=dim) for _ in range(components)]
     covs = [random_spd(rng, dim, cov_scale) for _ in range(components)]
     return GaussianMixture.from_parameters(weights, means, covs)
@@ -36,13 +44,73 @@ def random_model(
     signal_components: int,
     noise_components: int,
     mean_scale: float = 2.0,
+    zero_weight: bool = False,
 ) -> BayesianLinearModel:
     h = rng.normal(size=(observation_dim, signal_dim))
     return BayesianLinearModel(
         h,
-        random_mixture(rng, signal_dim, signal_components, mean_scale=mean_scale),
-        random_mixture(rng, observation_dim, noise_components, mean_scale=0.5),
+        random_mixture(rng, signal_dim, signal_components, mean_scale=mean_scale,
+                       zero_weight=zero_weight),
+        random_mixture(rng, observation_dim, noise_components, mean_scale=0.5,
+                       zero_weight=zero_weight),
     )
+
+
+def parts(mixture: GaussianMixture):
+    """The ``(weight, mean, covariance)`` triples of a mixture, in order."""
+    return zip(mixture.weights, mixture.means, mixture.covariances)
+
+
+def _symmetric(cov: np.ndarray) -> np.ndarray:
+    return 0.5 * (cov + cov.T)
+
+
+def per_component(components) -> tuple[np.ndarray, ...]:
+    """Stacked ``(weights, means, covariances, chols)`` built one component at a time.
+
+    ``components`` yields ``(weight, mean, covariance)`` triples, and each
+    Cholesky factor is its own ``np.linalg.cholesky`` call: the
+    component-by-component construction that the stacked mixture operations
+    replace, kept as their bit-exact reference.
+    """
+    weights, means, covs = zip(*components)
+    chols = [np.linalg.cholesky(c) for c in covs]
+    return np.array(weights), np.stack(means), np.stack(covs), np.stack(chols)
+
+
+def reference_affine(mixture, transform, offset):
+    return per_component(
+        (w, transform @ m + offset, _symmetric(transform @ c @ transform.T))
+        for w, m, c in parts(mixture)
+    )
+
+
+def reference_join(first, second):
+    return per_component(
+        (wa * wb, np.concatenate([ma, mb]), block_diag(ca, cb))
+        for wa, ma, ca in parts(first)
+        for wb, mb, cb in parts(second)
+    )
+
+
+def reference_marginal(mixture, keep: slice):
+    return per_component((w, m[keep], c[keep, keep]) for w, m, c in parts(mixture))
+
+
+def reference_observation(model):
+    H = model.H
+    return per_component(
+        (p * q, H @ mx + mn, _symmetric(H @ cx @ H.T) + cn)
+        for p, mx, cx in parts(model.x_prior)
+        for q, mn, cn in parts(model.noise)
+    )
+
+
+def assert_mixture_equal(mixture: GaussianMixture, reference) -> None:
+    """Bit-exact equality of the stacked arrays with a :func:`per_component` reference."""
+    stacked = (mixture.weights, mixture.means, mixture.covariances, mixture.chols)
+    for got, want in zip(stacked, reference, strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 _FINITE = st.floats(-1e3, 1e3)

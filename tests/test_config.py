@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gmbayes import ConfigError, load_config, packaged_config, parse_config
+from gmbayes import ConfigError, SweepConfig, load_config, packaged_config, parse_config
 
 MINIMAL = {
     "model": {
@@ -147,6 +147,14 @@ class TestParseErrors:
         text = variant(sweep={"snr_db_start": 0, "snr_db_stop": 1, "snr_db_step": 1, "trials": 2.5, "seed": 0})
         self.check(text, "sweep.trials", "integer")
 
+    def test_sweep_negative_seed(self):
+        text = variant(sweep={"snr_db_start": 0, "snr_db_stop": 1, "snr_db_step": 1, "trials": 5, "seed": -1})
+        self.check(text, "sweep.seed", "seed -1 is negative")
+
+    def test_boolean_seed_rejected(self):
+        text = variant(sweep={"snr_db_start": 0, "snr_db_stop": 1, "snr_db_step": 1, "trials": 5, "seed": True})
+        self.check(text, "sweep.seed", "integer")
+
 
 class TestSweepSettings:
     SWEEP = {
@@ -159,26 +167,35 @@ class TestSweepSettings:
 
     def test_grid_expansion(self):
         run = parse_config(variant(sweep=dict(self.SWEEP)))
-        config = run.sweep_config()
-        assert config.snr_db_grid == (-2.0, -1.0, 0.0, 1.0, 2.0)
-        assert config.trials == 100 and config.seed == 9
-        assert config.estimators == ("mmse", "lmmse")
+        assert isinstance(run.sweep, SweepConfig) and run.sweep.model is run.model
+        assert run.sweep.snr_db_grid == (-2.0, -1.0, 0.0, 1.0, 2.0)
+        assert run.sweep.trials == 100 and run.sweep.seed == 9
+        assert run.sweep.estimators == ("mmse", "lmmse")
+        assert run.sweep_config() == run.sweep
 
     def test_single_point_grid(self):
         sweep = dict(self.SWEEP, snr_db_start=3.0, snr_db_stop=3.0)
         run = parse_config(variant(sweep=sweep))
-        assert run.sweep_config().snr_db_grid == (3.0,)
+        assert run.sweep.snr_db_grid == (3.0,)
 
     def test_overrides(self):
         run = parse_config(variant(sweep=dict(self.SWEEP)))
         config = run.sweep_config(trials=7, seed=1, estimators=("lmmse",))
         assert (config.trials, config.seed) == (7, 1)
         assert config.estimators == ("lmmse",)
+        assert config.snr_db_grid == run.sweep.snr_db_grid
+        assert (run.sweep.trials, run.sweep.seed) == (100, 9)  # the file's sweep is unchanged
+
+    def test_bad_override_names_section(self):
+        run = parse_config(variant(sweep=dict(self.SWEEP)))
+        with pytest.raises(ConfigError) as info:
+            run.sweep_config(trials=1)
+        assert info.value.path == "sweep" and "trials 1 < 2" in str(info.value)
 
     def test_estimators_from_file(self):
         sweep = dict(self.SWEEP, estimators=["lmmse"])
         run = parse_config(variant(sweep=sweep))
-        assert run.sweep_config().estimators == ("lmmse",)
+        assert run.sweep.estimators == ("lmmse",)
 
     def test_missing_sweep_section(self):
         run = parse_config(json.dumps(MINIMAL))
@@ -192,4 +209,4 @@ class TestSweepSettings:
         path.write_text(variant(sweep=dict(self.SWEEP)))
         run = load_config(path)
         assert run.model.signal_dim == 1
-        assert run.sweep_config().trials == 100
+        assert run.sweep.trials == 100

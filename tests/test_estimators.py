@@ -47,13 +47,14 @@ def information_form_means(model: BayesianLinearModel, y: np.ndarray) -> np.ndar
     """
     H = model.H
     out = []
-    for cx in model.x_prior.components:
-        for cn in model.noise.components:
-            cx_inv = np.linalg.inv(cx.covariance)
-            cn_inv = np.linalg.inv(cn.covariance)
+    x, noise = model.x_prior, model.noise
+    for x_mean, x_cov in zip(x.means, x.covariances):
+        for n_mean, n_cov in zip(noise.means, noise.covariances):
+            cx_inv = np.linalg.inv(x_cov)
+            cn_inv = np.linalg.inv(n_cov)
             info = np.linalg.inv(cx_inv + H.T @ cn_inv @ H)
-            residual = y - H @ cx.mean - cn.mean
-            out.append(cx.mean + info @ H.T @ cn_inv @ residual)
+            residual = y - H @ x_mean - n_mean
+            out.append(x_mean + info @ H.T @ cn_inv @ residual)
     return np.stack(out)
 
 

@@ -12,16 +12,23 @@ from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
 from gmbayes import (
-    GaussianComponent,
     GaussianMixture,
     ValidationError,
     affine_transform,
     independent_join,
     marginal,
-    validate,
 )
 
-from conftest import point_inputs, random_mixture, random_spd, rejected_input
+from conftest import (
+    assert_mixture_equal,
+    point_inputs,
+    random_mixture,
+    random_spd,
+    reference_affine,
+    reference_join,
+    reference_marginal,
+    rejected_input,
+)
 
 # Frozen reference values (extended-precision evaluation, 50 digits).
 STD_NORMAL_LOG_PDF_AT_0 = -0.9189385332046728
@@ -39,7 +46,8 @@ def single_standard(dim: int = 1) -> GaussianMixture:
 class TestValidation:
     def test_identity_case_ok(self):
         mix = GaussianMixture.single(np.zeros(2), np.eye(2))
-        validate(mix)  # does not raise
+        npt.assert_array_equal(mix.chols, [np.eye(2)])
+        assert not mix.chols.flags.writeable
 
     def test_weights_sum_violation_names_total(self):
         with pytest.raises(ValidationError, match=r"weights sum 1\.1"):
@@ -48,31 +56,57 @@ class TestValidation:
             )
 
     def test_indefinite_covariance_rejected(self):
-        with pytest.raises(ValidationError, match="not positive definite"):
-            GaussianComponent(1.0, np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
+        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(ValidationError, match="component 1: covariance not positive definite"):
+            GaussianMixture.from_parameters([0.5, 0.5], [np.zeros(2)] * 2, [np.eye(2), bad])
 
     def test_asymmetric_covariance_rejected(self):
         cov = np.array([[1.0, 0.1], [0.0, 1.0]])
-        with pytest.raises(ValidationError, match="not symmetric"):
-            GaussianComponent(1.0, np.zeros(2), cov)
+        with pytest.raises(ValidationError, match="component 0: covariance not symmetric"):
+            GaussianMixture.single(np.zeros(2), cov)
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValidationError, match="negative"):
-            GaussianComponent(-0.1, np.zeros(1), np.eye(1))
+        with pytest.raises(ValidationError, match="component 1: weight -0.1 is negative"):
+            GaussianMixture.from_parameters(
+                [1.1, -0.1], [np.zeros(1)] * 2, [np.eye(1)] * 2
+            )
 
     def test_dimension_mismatch_between_components(self):
-        a = GaussianComponent(0.5, np.zeros(1), np.eye(1))
-        b = GaussianComponent(0.5, np.zeros(2), np.eye(2))
-        with pytest.raises(ValidationError, match="dimension"):
-            GaussianMixture([a, b])
+        with pytest.raises(ValidationError, match="component 1: mean dimension"):
+            GaussianMixture.from_parameters(
+                [0.5, 0.5], [np.zeros(1), np.zeros(2)], [np.eye(1), np.eye(2)]
+            )
+        with pytest.raises(ValidationError, match="component 1: covariance dimension"):
+            GaussianMixture.from_parameters(
+                [0.5, 0.5], [np.zeros(2)] * 2, [np.eye(2), np.eye(3)]
+            )
+        with pytest.raises(ValidationError, match="does not match dimension 2"):
+            GaussianMixture.single(np.zeros(2), np.eye(3))
 
     def test_empty_mixture_rejected(self):
         with pytest.raises(ValidationError, match="at least one"):
-            GaussianMixture([])
+            GaussianMixture.from_parameters([], [], [])
+        with pytest.raises(ValidationError, match="at least one"):
+            GaussianMixture(np.empty(0), np.empty((0, 1)), np.empty((0, 1, 1)))
 
     def test_nonfinite_mean_rejected(self):
-        with pytest.raises(ValidationError, match="non-finite"):
-            GaussianComponent(1.0, np.array([np.nan]), np.eye(1))
+        with pytest.raises(ValidationError, match="component 0: mean has non-finite"):
+            GaussianMixture.single(np.array([np.nan]), np.eye(1))
+
+    @pytest.mark.parametrize("weight, mean, cov, what", [
+        (np.nan, 0.0, 1.0, "weight nan is not finite"),
+        (1.0, np.inf, 1.0, "mean has non-finite"),
+        (1.0, 0.0, -np.inf, "covariance has non-finite"),
+    ])
+    def test_nonfinite_parameters_name_component(self, weight, mean, cov, what):
+        with pytest.raises(ValidationError, match=f"component 1: {what}"):
+            GaussianMixture.from_parameters([0.0, weight], [0.0, mean], [1.0, cov])
+
+    def test_transforms_validate_their_result(self):
+        # a covariance that underflows to zero under the map is not PD
+        mix = GaussianMixture.from_parameters([0.5, 0.5], [0.0, 1.0], [1.0, 1e-300])
+        with pytest.raises(ValidationError, match="component 1: covariance not positive definite"):
+            affine_transform(mix, np.array([[1e-100]]))
 
     def test_weights_renormalized_once_within_tolerance(self):
         mix = GaussianMixture.from_parameters(
@@ -84,11 +118,14 @@ class TestValidation:
         mix = GaussianMixture.from_parameters(
             [0.0, 1.0], [np.zeros(1), np.ones(1)], [np.eye(1), np.eye(1)]
         )
-        validate(mix)
+        assert mix.log_weights[0] == -np.inf
         samples = mix.sample(2000, seed=5)
         # the zero-weight component (mean 0) is never drawn
         assert np.all(np.abs(samples - 1.0) < 6.0)
         assert np.isfinite(mix.log_density(np.array([0.5])))
+        # transforms carry it through
+        out = marginal(independent_join(mix, single_standard()), slice(0, 1))
+        npt.assert_array_equal(out.weights, [0.0, 1.0])
 
 
 # ------------------------------------------------------------------- moments
@@ -379,6 +416,39 @@ class TestMarginal:
             marginal(mix, slice(1, 5))
         with pytest.raises(ValidationError, match="empty"):
             marginal(mix, slice(1, 1))
+
+
+class TestPerComponentReference:
+    """The stacked transforms equal a component-by-component construction bit for bit."""
+
+    @staticmethod
+    def mixtures(seed: int, count: int = 40):
+        rng = np.random.default_rng(seed)
+        for i in range(count):
+            dim, components = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            yield rng, random_mixture(rng, dim, components, zero_weight=i % 2 == 0)
+
+    def test_affine_transform(self):
+        for rng, mix in self.mixtures(30):
+            rows = int(rng.integers(1, mix.dim + 1))
+            transform = rng.normal(size=(rows, mix.dim))
+            offset = rng.normal(size=rows)
+            assert_mixture_equal(
+                affine_transform(mix, transform, offset), reference_affine(mix, transform, offset)
+            )
+
+    def test_independent_join(self):
+        for rng, mix in self.mixtures(31):
+            other = random_mixture(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                                   zero_weight=True)
+            assert_mixture_equal(independent_join(mix, other), reference_join(mix, other))
+            assert_mixture_equal(independent_join(other, mix), reference_join(other, mix))
+
+    def test_marginal(self):
+        for rng, mix in self.mixtures(32):
+            start = int(rng.integers(0, mix.dim))
+            keep = slice(start, int(rng.integers(start + 1, mix.dim + 1)))
+            assert_mixture_equal(marginal(mix, keep), reference_marginal(mix, keep))
 
 
 def random_spd_local(rng):

@@ -18,7 +18,16 @@ from gmbayes import (
     snr_db,
 )
 
-from conftest import random_model
+from conftest import assert_mixture_equal, random_model, reference_affine, reference_observation
+
+
+def random_models(seed: int, count: int = 40):
+    """Random models of dimensions 1 to 4 with 1 to 4 components per mixture;
+    every other model has a zero-weight component in each mixture."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d, m, k, l = (int(v) for v in rng.integers(1, 5, size=4))
+        yield random_model(rng, d, m, k, l, zero_weight=i % 2 == 0)
 
 
 def scalar_wiener_model() -> BayesianLinearModel:
@@ -79,6 +88,21 @@ class TestObservationMixture:
             (np.einsum("ni,nj->ij", dev**2, dev**2) / n - obs.covariance() ** 2) / n
         )
         npt.assert_array_less(cov_dev, 5 * se_cov)
+
+    def test_matches_per_component_reference(self):
+        for model in random_models(40):
+            assert_mixture_equal(observation_mixture(model), reference_observation(model))
+
+    def test_non_pd_pair_names_pair(self):
+        # H has rank 1 < m, so H C_x H^T is singular; a noise covariance far
+        # below it in scale is absorbed by roundoff only for the pair (1,0)
+        x = GaussianMixture.from_parameters([0.5, 0.5], [0.0, 0.0], [1e-50, 1.0])
+        noise = GaussianMixture.from_parameters(
+            [0.5, 0.5], [np.zeros(2)] * 2, [1e-40 * np.eye(2), np.eye(2)]
+        )
+        model = BayesianLinearModel(np.array([[1.0], [1.0]]), x, noise)
+        with pytest.raises(ValidationError, match=r"component \(1,0\): covariance not positive definite"):
+            observation_mixture(model)
 
 
 class TestJointMixture:
@@ -190,6 +214,14 @@ class TestScaleNoise:
         npt.assert_allclose(
             scaled.noise.covariances, 4.0 * model.noise.covariances, rtol=1e-12
         )
+
+    def test_matches_per_component_reference(self):
+        for model, factor in zip(random_models(41), np.geomspace(1e-12, 1e12, 40)):
+            transform = factor * np.eye(model.noise.dim)
+            assert_mixture_equal(
+                scale_noise(model, factor).noise,
+                reference_affine(model.noise, transform, np.zeros(model.noise.dim)),
+            )
 
     def test_bad_factors_rejected(self):
         model = scalar_wiener_model()

@@ -85,6 +85,15 @@ class TestEstimateMse:
         with pytest.raises(ValidationError, match="unknown estimator"):
             estimate_mse(scalar_wiener_model(), 100, seed=0, estimator="map")
 
+    def test_negative_seed_rejected(self):
+        # the same rule as SweepConfig and the config file
+        with pytest.raises(ValidationError, match="seed -1 is negative"):
+            estimate_mse(scalar_wiener_model(), 10, -1)
+
+    def test_numpy_integers_accepted(self):
+        model = scalar_wiener_model()
+        assert estimate_mse(model, np.int64(50), np.uint32(3)) == estimate_mse(model, 50, 3)
+
 
 class TestSweepConfig:
     def test_empty_grid_rejected(self):
@@ -111,6 +120,24 @@ class TestSweepConfig:
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValidationError, match="unknown estimator"):
             SweepConfig(scalar_wiener_model(), (0.0,), trials=10, seed=0, estimators=("em",))
+
+    def test_float_trials_rejected(self):
+        # formerly accepted, then a TypeError from the sampler inside run_sweep
+        with pytest.raises(ValidationError, match="trials 10.0 is not an integer"):
+            SweepConfig(scalar_wiener_model(), (0.0,), trials=10.0, seed=0)
+
+    def test_float_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed 1.5 is not an integer"):
+            SweepConfig(scalar_wiener_model(), (0.0,), trials=10, seed=1.5)
+
+    def test_bool_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed True is not an integer"):
+            SweepConfig(scalar_wiener_model(), (0.0,), trials=10, seed=True)
+
+    def test_numpy_integers_stored_as_int(self):
+        config = SweepConfig(scalar_wiener_model(), (0.0,), trials=np.int64(10), seed=np.uint64(7))
+        assert (config.trials, config.seed) == (10, 7)
+        assert type(config.trials) is int and type(config.seed) is int
 
     def test_estimators_canonicalized(self):
         config = SweepConfig(
