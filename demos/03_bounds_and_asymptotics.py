@@ -20,8 +20,9 @@ from gmbayes import (
     GaussianMixture,
     LmmseEstimator,
     PrecomputedEstimator,
-    bounds_report,
     calibrate_noise_scale,
+    genie_lower_bound,
+    lmmse_upper_bound,
     snr_db,
 )
 
@@ -34,17 +35,21 @@ noise = GaussianMixture.single(mean=[0.0, 0.0], covariance=np.eye(2))
 model = BayesianLinearModel(np.eye(2), x_prior, noise)
 print(f"prior SNR = {snr_db(model):.2f} dB")
 
-# The report carries the two bounds; lower <= upper <= tr C_x always holds.
-report = bounds_report(model)
-print("bounds report:", report)
+# The genie lower bound reads the precomputed estimator, the LMMSE upper
+# bound the model; lower <= upper <= tr C_x always holds.
+lower = genie_lower_bound(PrecomputedEstimator(model))
+upper = lmmse_upper_bound(model)
+print(f"bounds: lower = {lower:.6f}, upper = {upper:.6f}, "
+      f"tr C_x = {np.trace(model.x_prior.covariance()):.6f}")
 
 # Rescaling the noise sweeps the SNR; both bounds grow with the noise and
 # the gap between them is widest in the mid-SNR transition region.
 print(f"\n{'snr_db':>8} {'genie lower':>12} {'lmmse upper':>12} {'gap':>10}")
 for target_db in (-20, -10, 0, 10, 20, 40):
     scaled, _ = calibrate_noise_scale(model, target_db)
-    r = bounds_report(scaled)
-    print(f"{target_db:8.1f} {r.lower:12.6f} {r.upper:12.6f} {r.upper - r.lower:10.2e}")
+    lower = genie_lower_bound(PrecomputedEstimator(scaled))
+    upper = lmmse_upper_bound(scaled)
+    print(f"{target_db:8.1f} {lower:12.6f} {upper:12.6f} {upper - lower:10.2e}")
 
 # High SNR: the observation pins x down, and the estimate approaches
 # H^-1 y regardless of the prior.

@@ -15,8 +15,8 @@ sum of per-component Wiener estimates. This package provides
   noise-scale calibration;
 * the estimators (:mod:`gmbayes.estimators`): precomputed MMSE estimator,
   full mixture posterior, LMMSE baseline;
-* analytic MSE bounds (:mod:`gmbayes.bounds`): genie-aided lower, LMMSE
-  upper;
+* analytic MSE bounds (:mod:`gmbayes.bounds`): ``genie_lower_bound`` of a
+  precomputed estimator and ``lmmse_upper_bound`` of a model;
 * a Monte Carlo SNR sweep harness (:mod:`gmbayes.montecarlo`) with
   deterministic seeding and CSV/SVG output (:mod:`gmbayes.sweepio`,
   :mod:`gmbayes.svg`);
@@ -24,7 +24,7 @@ sum of per-component Wiener estimates. This package provides
 * a command line (``gmbayes validate | estimate | sweep | oracle-check``).
 """
 
-from .bounds import BoundsReport, bounds_report, genie_lower_bound, lmmse_upper_bound
+from .bounds import genie_lower_bound, lmmse_upper_bound
 from .config import ConfigError, RunConfig, load_config, packaged_config, parse_config
 from .estimators import (
     LmmseEstimator,
@@ -64,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BayesianLinearModel",
-    "BoundsReport",
     "ConfigError",
     "CsvRow",
     "GaussianMixture",
@@ -78,7 +77,6 @@ __all__ = [
     "SweepPoint",
     "ValidationError",
     "affine_transform",
-    "bounds_report",
     "calibrate_noise_scale",
     "derive_seed",
     "estimate_mse",

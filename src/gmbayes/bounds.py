@@ -10,13 +10,12 @@ The estimator's Bayesian MSE has no closed form, but it is sandwiched:
   mixture first and second moments, and which never exceeds the prior
   trace ``tr C_x``.
 
-All bounds are returned on the linear scale; any dB conversion happens at
-presentation time.
+The lower bound reads a :class:`PrecomputedEstimator`, which a sweep point
+has already built, and the upper bound a model. Both are on the linear
+scale; any dB conversion happens at presentation time.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +23,8 @@ from .estimators import LmmseEstimator, PrecomputedEstimator
 from .model import BayesianLinearModel
 
 __all__ = [
-    "BoundsReport",
     "genie_lower_bound",
     "lmmse_upper_bound",
-    "bounds_report",
 ]
 
 
@@ -46,20 +43,3 @@ def lmmse_upper_bound(model: BayesianLinearModel) -> float:
     """Exact MSE of the LMMSE estimator, an upper bound for the MMSE error."""
     return LmmseEstimator(model).mse
 
-
-@dataclass(frozen=True)
-class BoundsReport:
-    """MSE bounds for one model, linear scale; ``lower <= upper`` always."""
-
-    lower: float
-    upper: float
-
-
-def bounds_report(model: BayesianLinearModel, pre: PrecomputedEstimator | None = None) -> BoundsReport:
-    """Evaluate both bounds for ``model``, reusing ``pre`` when given."""
-    if pre is None:
-        pre = PrecomputedEstimator(model)
-    return BoundsReport(
-        lower=genie_lower_bound(pre),
-        upper=lmmse_upper_bound(model),
-    )

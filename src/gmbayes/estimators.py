@@ -11,11 +11,12 @@ Everything that does not depend on ``y`` is computed once in
 components of the observation mixture (:func:`gmbayes.model.observation_mixture`),
 so their means, Cholesky factors and log-densities come from that mixture
 and its stacked whitening kernel. The per-pair gains and component posterior
-covariances are formed from the same Cholesky factors by Cholesky solves;
-no observation covariance is ever inverted explicitly, which keeps the
-high-SNR (ill-conditioned) regime accurate. Responsibilities are evaluated
-as a softmax of log weights plus Gaussian log-densities, so they are
-well-defined even when every component likelihood underflows a double.
+covariances are formed from the same Cholesky factors by one batched
+Cholesky solve over all pairs; no observation covariance is ever inverted
+explicitly, which keeps the high-SNR (ill-conditioned) regime accurate.
+Responsibilities are evaluated as a softmax of log weights plus Gaussian
+log-densities, so they are well-defined even when every component
+likelihood underflows a double.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .mixture import ValidationError, _as_batch, _log_sum_exp
+from .mixture import ValidationError, _as_batch, _frozen, _log_sum_exp, _mixture_covariance
 from .model import BayesianLinearModel, observation_mixture
 
 __all__ = [
@@ -54,8 +55,8 @@ class PrecomputedEstimator:
     n_pairs : int
         ``K * L``.
     gains : (n_pairs, d, m) array
-        ``C_x^(k) H^T (H C_x^(k) H^T + C_n^(l))^-1``, by Cholesky solves
-        against the observation mixture's factors.
+        ``C_x^(k) H^T (H C_x^(k) H^T + C_n^(l))^-1``, by one batched
+        Cholesky solve against the observation mixture's factors.
     comp_post_covs : (n_pairs, d, d) array
         Component posterior covariances; independent of the observation.
     x_means : (n_pairs, d) array
@@ -76,25 +77,20 @@ class PrecomputedEstimator:
     def __init__(self, model: BayesianLinearModel):
         obs = observation_mixture(model)
         n_noise = len(model.noise)
-        gains, post_covs = [], []
-        for k, x_cov in enumerate(model.x_prior.covariances):
-            h_cov = model.H @ x_cov  # rows of C_yx = H C_x^(k)
-            for chol in obs.chols[k * n_noise:(k + 1) * n_noise]:
-                gain = cho_solve((chol, True), h_cov).T
-                post_cov = x_cov - gain @ h_cov
-                gains.append(gain)
-                post_covs.append(0.5 * (post_cov + post_cov.T))
+        x_covs = np.repeat(model.x_prior.covariances, n_noise, axis=0)
+        h_covs = model.H @ x_covs  # rows of C_yx = H C_x^(k), per pair
+        gains = np.swapaxes(cho_solve((obs.chols, True), h_covs), 1, 2)
+        post_covs = x_covs - gains @ h_covs
 
         self.model = model
         self.obs = obs
         self.n_signal = len(model.x_prior)
         self.n_noise = n_noise
         self.n_pairs = len(obs)
-        self.gains = np.stack(gains)
-        self.comp_post_covs = np.stack(post_covs)
-        self.x_means = np.repeat(model.x_prior.means, n_noise, axis=0)
-        for name in ("gains", "comp_post_covs", "x_means"):
-            getattr(self, name).setflags(write=False)
+        # C order: the per-observation einsum rounds differently on a transposed view.
+        self.gains = _frozen(np.ascontiguousarray(gains))
+        self.comp_post_covs = _frozen(0.5 * (post_covs + np.swapaxes(post_covs, 1, 2)))
+        self.x_means = _frozen(np.repeat(model.x_prior.means, n_noise, axis=0))
 
     # -- log-domain machinery ----------------------------------------------
 
@@ -177,21 +173,13 @@ class PosteriorGM:
         return self.responsibilities.reshape(-1) @ self.component_means.reshape(-1, d)
 
     def covariance(self) -> np.ndarray:
-        """Posterior covariance.
-
-        Mixture-covariance formula over the posterior components:
-        ``sum alpha (C + m m^T) - mu mu^T`` with ``mu`` the posterior mean.
-        Zero-responsibility components contribute nothing but stay in the sum.
-        """
+        """Posterior covariance: the mixture covariance of the posterior components."""
         d = self.component_means.shape[-1]
-        alpha = self.responsibilities.reshape(-1)
-        means = self.component_means.reshape(-1, d)
-        covs = self.component_covariances.reshape(-1, d, d)
-        mu = self.mean()
-        out = np.einsum("p,pij->ij", alpha, covs)
-        out += np.einsum("p,pi,pj->ij", alpha, means, means)
-        out -= np.outer(mu, mu)
-        return 0.5 * (out + out.T)
+        return _mixture_covariance(
+            self.responsibilities.reshape(-1),
+            self.component_means.reshape(-1, d),
+            self.component_covariances.reshape(-1, d, d),
+        )
 
 
 class LmmseEstimator:

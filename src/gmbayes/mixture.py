@@ -30,6 +30,7 @@ Numerical conventions:
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -128,9 +129,8 @@ class GaussianMixture:
         self.means = _frozen(means)
         self.covariances = _frozen(covariances)
         self.chols = _frozen(chols)
-        eye = np.eye(d)
         self._inv_chols = _frozen(
-            np.stack([solve_triangular(chol, eye, lower=True) for chol in chols])
+            solve_triangular(chols, np.broadcast_to(np.eye(d), chols.shape), lower=True)
         )
         self._log_norms = _frozen(
             -0.5 * d * LOG_2PI - np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
@@ -178,11 +178,7 @@ class GaussianMixture:
         The result is symmetrized to remove roundoff asymmetry; it is
         positive semidefinite up to roundoff.
         """
-        u = self.mean()
-        second = np.einsum("k,kij->ij", self.weights, self.covariances)
-        second += np.einsum("k,ki,kj->ij", self.weights, self.means, self.means)
-        cov = second - np.outer(u, u)
-        return 0.5 * (cov + cov.T)
+        return _mixture_covariance(self.weights, self.means, self.covariances)
 
     def second_moment_trace(self) -> float:
         """E||x||^2 = trace(covariance) + ||mean||^2."""
@@ -236,10 +232,13 @@ class GaussianMixture:
         categorical pick over the component weights followed by
         ``mean + chol @ z`` with ``z`` standard normal; all standard-normal
         variates are drawn in one block after the categorical pick, so the
-        output is a pure function of (seed, numpy version).
+        output is a pure function of (seed, numpy version). ``count`` must be
+        a non-negative integer, and ``seed`` a non-negative integer or a
+        ``SeedSequence``; anything else raises :class:`ValidationError`.
         """
-        if count < 0:
-            raise ValidationError(f"count {count} is negative")
+        count = _integer("count", count)
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = _integer("seed", seed)
         rng = np.random.Generator(np.random.Philox(seed))
         out = np.empty((count, self.dim))
         if count == 0:
@@ -265,6 +264,20 @@ def _reject(bad, grid: tuple[int, ...], message) -> None:
         index = ",".join(str(int(j)) for j in np.unravel_index(i, grid))
         name = index if len(grid) == 1 else f"({index})"
         raise ValidationError(f"component {name}: {message(i)}")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``: an integer per :func:`operator.index`, not a bool,
+    and not negative; else :class:`ValidationError` naming ``name``."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ValidationError(f"{name} {value!r} is not an integer")
+    if number < 0:
+        raise ValidationError(f"{name} {number} is negative")
+    return number
 
 
 def _positive_definite(covariance: np.ndarray) -> bool:
@@ -311,6 +324,16 @@ def _log_sum_exp(logs: np.ndarray) -> np.ndarray:
     rest -= at_peak
     with np.errstate(divide="ignore"):
         return peak + np.log1p(np.sum(rest, axis=0) + (np.count_nonzero(at_peak, axis=0) - 1))
+
+
+def _mixture_covariance(weights: np.ndarray, means: np.ndarray, covariances: np.ndarray) -> np.ndarray:
+    """:meth:`GaussianMixture.covariance` of ``(K,)`` weights, ``(K, d)`` means and
+    ``(K, d, d)`` covariances; the posterior covariance shares it."""
+    u = weights @ means
+    second = np.einsum("k,kij->ij", weights, covariances)
+    second += np.einsum("k,ki,kj->ij", weights, means, means)
+    cov = second - np.outer(u, u)
+    return 0.5 * (cov + cov.T)
 
 
 def _mapped_moments(mixture: GaussianMixture, transform: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .bounds import genie_lower_bound, lmmse_upper_bound
 from .estimators import LmmseEstimator, PrecomputedEstimator
-from .mixture import ValidationError
+from .mixture import ValidationError, _integer
 from .model import BayesianLinearModel, calibrate_noise_scale
 
 __all__ = [
@@ -80,19 +79,12 @@ def _squared_errors(x: np.ndarray, y: np.ndarray, predict) -> np.ndarray:
 
 
 def _sweep_integer(name: str, value) -> int:
-    """``value`` as an ``int`` under the one sweep rule for ``name``: ``trials``
-    is an integer (per :func:`operator.index`, not a bool) of at least 2, as a
-    standard error needs two trials, and ``seed`` a non-negative integer."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        number = None
-    if number is None or isinstance(value, bool):
-        raise ValidationError(f"{name} {value!r} is not an integer")
+    """``value`` as an ``int`` under the one sweep rule for ``name``: a
+    non-negative integer (:func:`gmbayes.mixture._integer`), and ``trials`` at
+    least 2, as a standard error needs two trials."""
+    number = _integer(name, value)
     if name == "trials" and number < 2:
         raise ValidationError(f"trials {number} < 2; the standard error needs at least 2")
-    if name == "seed" and number < 0:
-        raise ValidationError(f"seed {number} is negative")
     return number
 
 

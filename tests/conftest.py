@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, solve_triangular
 
 from gmbayes import BayesianLinearModel, GaussianMixture
 
@@ -104,6 +104,23 @@ def reference_observation(model):
         for p, mx, cx in parts(model.x_prior)
         for q, mn, cn in parts(model.noise)
     )
+
+
+def reference_inv_chols(chols: np.ndarray) -> np.ndarray:
+    """Inverse Cholesky factors, one ``solve_triangular`` per component: the
+    bit-exact reference for the mixture's one batched solve."""
+    eye = np.eye(chols.shape[-1])
+    return np.stack([solve_triangular(chol, eye, lower=True) for chol in chols])
+
+
+def reference_mixture_covariance(weights, means, covariances) -> np.ndarray:
+    """``sum w (C + m m^T) - u u^T``, symmetrized, written out as the mixture
+    and the posterior covariance each wrote it before they shared one formula."""
+    u = weights @ means
+    out = np.einsum("p,pij->ij", weights, covariances)
+    out += np.einsum("p,pi,pj->ij", weights, means, means)
+    out -= np.outer(u, u)
+    return 0.5 * (out + out.T)
 
 
 def assert_mixture_equal(mixture: GaussianMixture, reference) -> None:

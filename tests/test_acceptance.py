@@ -32,6 +32,7 @@ Criteria:
    byte-identical CSV files, including under parallel execution.
 """
 
+import hashlib
 import math
 import time
 from contextlib import contextmanager
@@ -55,12 +56,16 @@ from gmbayes import (
     packaged_config,
     quad_mse,
     quad_posterior_mean,
+    render_sweep_csv,
     run_sweep,
     to_db,
 )
 from gmbayes.cli import main as cli_main
 
 from conftest import random_mixture, random_model, random_spd
+
+# sha256 of the figure-1 sweep CSV as rendered with numpy 2.4.6.
+FIGURE1_CSV_SHA256 = "69649aba08a285ef3320c2ed903a452496f3c42864e107ac689cfdca816e7a89"
 
 
 @contextmanager
@@ -159,6 +164,11 @@ def test_criterion_3_reference_sweep(capsys):
         config = run.sweep_config()  # 61 points, 50000 trials, seed 1234
         assert config.trials == 50000 and len(config.snr_db_grid) == 61
         points = run_sweep(config)
+
+        # The benchmark pins these bytes as FIGURE1_CSV_SHA256 in
+        # perfbench/suite.py; a deliberate re-record updates both places.
+        digest = hashlib.sha256(render_sweep_csv(config, points).encode()).hexdigest()
+        assert digest == FIGURE1_CSV_SHA256, f"figure-1 CSV sha256 {digest}"
 
         # (a) sandwich everywhere
         _check_sandwich(points)

@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from gmbayes import (
     BayesianLinearModel,
@@ -17,11 +17,19 @@ from gmbayes import (
     PrecomputedEstimator,
     ValidationError,
     calibrate_noise_scale,
+    load_config,
     observation_mixture,
+    packaged_config,
     scale_noise,
 )
 
-from conftest import point_inputs, random_model, rejected_input
+from conftest import (
+    point_inputs,
+    random_model,
+    reference_inv_chols,
+    reference_mixture_covariance,
+    rejected_input,
+)
 
 
 def scalar_wiener_model() -> BayesianLinearModel:
@@ -72,6 +80,32 @@ def triangular_solve_log_pdfs(obs: GaussianMixture, ys: np.ndarray) -> np.ndarra
     return out
 
 
+def per_pair_conditioning(pre: PrecomputedEstimator) -> tuple[np.ndarray, np.ndarray]:
+    """Gains and component posterior covariances, one ``cho_solve`` per pair.
+
+    The estimator's former nested loop over (signal, noise) pairs, kept as
+    the bit-exact reference for its stacked Cholesky solve.
+    """
+    model, n_noise = pre.model, pre.n_noise
+    gains, post_covs = [], []
+    for k, x_cov in enumerate(model.x_prior.covariances):
+        h_cov = model.H @ x_cov
+        for chol in pre.obs.chols[k * n_noise:(k + 1) * n_noise]:
+            gain = cho_solve((chol, True), h_cov).T
+            post_cov = x_cov - gain @ h_cov
+            gains.append(gain)
+            post_covs.append(0.5 * (post_cov + post_cov.T))
+    return np.stack(gains), np.stack(post_covs)
+
+
+def assert_matches_per_pair_loops(pre: PrecomputedEstimator) -> None:
+    gains, post_covs = per_pair_conditioning(pre)
+    npt.assert_array_equal(pre.gains, gains)
+    assert pre.gains.flags.c_contiguous  # the layout the per-observation einsum rounds with
+    npt.assert_array_equal(pre.comp_post_covs, post_covs)
+    npt.assert_array_equal(pre.obs._inv_chols, reference_inv_chols(pre.obs.chols))
+
+
 class TestPrecompute:
     def test_scalar_wiener_gain(self):
         pre = PrecomputedEstimator(scalar_wiener_model())
@@ -103,6 +137,22 @@ class TestPrecompute:
         for cov in pre.comp_post_covs:
             npt.assert_allclose(cov, cov.T, atol=1e-12)
             assert np.linalg.eigvalsh(cov).min() >= -1e-10 * np.trace(cov)
+
+    def test_stacked_solves_match_per_pair_loops_on_random_models(self):
+        rng = np.random.default_rng(18)
+        for i in range(40):
+            d, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            k, l = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            pre = PrecomputedEstimator(random_model(rng, d, m, k, l, zero_weight=i % 2 == 0))
+            assert_matches_per_pair_loops(pre)
+
+    def test_stacked_solves_match_per_pair_loops_on_figure1(self):
+        run = load_config(packaged_config("figure1.config"))
+        grid = run.sweep_config().snr_db_grid
+        assert len(grid) == 61
+        for snr_db in grid:
+            scaled, _ = calibrate_noise_scale(run.model, snr_db)
+            assert_matches_per_pair_loops(PrecomputedEstimator(scaled))
 
 
 class TestResponsibilities:
@@ -274,6 +324,22 @@ class TestPosteriorCovariance:
         pre = PrecomputedEstimator(scalar_wiener_model())
         post = pre.posterior(np.array([1.3]))
         npt.assert_allclose(post.covariance(), [[0.5]], rtol=1e-15)
+
+    def test_matches_inline_moment_formula(self):
+        rng = np.random.default_rng(19)
+        for i in range(10):
+            model = random_model(rng, 3, 2, 3, 2, zero_weight=i % 2 == 0)
+            pre = PrecomputedEstimator(model)
+            for y in rng.normal(scale=3.0, size=(5, 2)):
+                post = pre.posterior(y)
+                npt.assert_array_equal(
+                    post.covariance(),
+                    reference_mixture_covariance(
+                        post.responsibilities.reshape(-1),
+                        post.component_means.reshape(-1, 3),
+                        post.component_covariances.reshape(-1, 3, 3),
+                    ),
+                )
 
     def test_trace_dominates_average_component_trace(self):
         rng = np.random.default_rng(8)

@@ -25,8 +25,10 @@ from conftest import (
     random_mixture,
     random_spd,
     reference_affine,
+    reference_inv_chols,
     reference_join,
     reference_marginal,
+    reference_mixture_covariance,
     rejected_input,
 )
 
@@ -310,6 +312,32 @@ class TestSampling:
         with pytest.raises(ValidationError, match="negative"):
             single_standard().sample(-1, seed=0)
 
+    @pytest.mark.parametrize(
+        "count, seed, message",
+        [
+            (2.5, 1, "count 2.5 is not an integer"),
+            (3.0, 1, "count 3.0 is not an integer"),
+            (True, 1, "count True is not an integer"),
+            (None, 1, "count None is not an integer"),
+            (5, -1, "seed -1 is negative"),
+            (5, 1.5, "seed 1.5 is not an integer"),
+            (5, True, "seed True is not an integer"),
+            (5, None, "seed None is not an integer"),
+            (5, "7", "seed '7' is not an integer"),
+        ],
+    )
+    def test_bad_count_or_seed_rejected(self, count, seed, message):
+        # formerly a raw TypeError or ValueError, or (seed None, True) accepted,
+        # None drawing from fresh OS entropy
+        with pytest.raises(ValidationError, match=message):
+            single_standard().sample(count, seed)
+
+    def test_numpy_integers_and_seed_sequence_accepted(self):
+        mix = random_mixture(np.random.default_rng(4), 2, 3)
+        expected = mix.sample(50, 11)
+        npt.assert_array_equal(mix.sample(np.int64(50), np.uint32(11)), expected)
+        npt.assert_array_equal(mix.sample(50, np.random.SeedSequence(11)), expected)
+
 
 # ----------------------------------------------------- appendix propositions
 
@@ -419,7 +447,8 @@ class TestMarginal:
 
 
 class TestPerComponentReference:
-    """The stacked transforms equal a component-by-component construction bit for bit."""
+    """The stacked transforms, inverse factors and moments equal a
+    component-by-component construction bit for bit."""
 
     @staticmethod
     def mixtures(seed: int, count: int = 40):
@@ -449,6 +478,17 @@ class TestPerComponentReference:
             start = int(rng.integers(0, mix.dim))
             keep = slice(start, int(rng.integers(start + 1, mix.dim + 1)))
             assert_mixture_equal(marginal(mix, keep), reference_marginal(mix, keep))
+
+    def test_inverse_factors(self):
+        for _, mix in self.mixtures(33):
+            npt.assert_array_equal(mix._inv_chols, reference_inv_chols(mix.chols))
+
+    def test_covariance(self):
+        for _, mix in self.mixtures(34):
+            npt.assert_array_equal(
+                mix.covariance(),
+                reference_mixture_covariance(mix.weights, mix.means, mix.covariances),
+            )
 
 
 def random_spd_local(rng):
