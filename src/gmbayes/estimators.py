@@ -14,6 +14,10 @@ and its stacked whitening kernel. The per-pair gains and component posterior
 covariances are formed from the same Cholesky factors by one batched
 Cholesky solve over all pairs; no observation covariance is ever inverted
 explicitly, which keeps the high-SNR (ill-conditioned) regime accurate.
+An estimate forms the ``(pairs, m, n)`` block of deviations ``y - mu_y``
+once per batch; the whitening and the gains both read it, the gains as one
+batched matrix product, and the responsibility-weighted reduction runs over
+the resulting ``(pairs, d, n)`` per-pair means.
 Responsibilities are evaluated as a softmax of log weights plus Gaussian
 log-densities, so they are well-defined even when every component
 likelihood underflows a double.
@@ -87,7 +91,7 @@ class PrecomputedEstimator:
         self.n_signal = len(model.x_prior)
         self.n_noise = n_noise
         self.n_pairs = len(obs)
-        # C order: the per-observation einsum rounds differently on a transposed view.
+        # C order: each pair's gain is one contiguous block for the batched product.
         self.gains = _frozen(np.ascontiguousarray(gains))
         self.comp_post_covs = _frozen(0.5 * (post_covs + np.swapaxes(post_covs, 1, 2)))
         self.x_means = _frozen(np.repeat(model.x_prior.means, n_noise, axis=0))
@@ -98,15 +102,29 @@ class PrecomputedEstimator:
         """Per-pair Gaussian log-densities of ``(n, m)`` observations, shape ``(n_pairs, n)``."""
         return self.obs.component_log_pdfs(batch)
 
-    def _responsibilities_flat(self, batch: np.ndarray) -> np.ndarray:
-        logp = self.obs.log_weights[:, None] + self.log_observation_pdfs(batch)
-        alpha = np.exp(logp - _log_sum_exp(logp))
-        return alpha / np.sum(alpha, axis=0, keepdims=True)
+    def _softmax(self, log_pdfs: np.ndarray) -> np.ndarray:
+        """Responsibilities ``(n_pairs, n)`` from per-pair log-densities, in place.
 
-    def _component_means(self, batch: np.ndarray) -> np.ndarray:
-        """Per-pair posterior means, shape ``(n_pairs, n, d)``."""
-        innov = batch[None, :, :] - self.obs.means[:, None, :]
-        return self.x_means[:, None, :] + np.einsum("pdm,pnm->pnd", self.gains, innov)
+        Overwrites ``log_pdfs``: adds the log weights, subtracts their
+        log-sum-exp, exponentiates, and divides by the sum.
+        """
+        log_pdfs += self.obs.log_weights[:, None]
+        log_pdfs -= _log_sum_exp(log_pdfs)
+        alpha = np.exp(log_pdfs, out=log_pdfs)
+        alpha /= np.sum(alpha, axis=0, keepdims=True)
+        return alpha
+
+    def _posterior_terms(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Responsibilities ``(n_pairs, n)`` and per-pair posterior means ``(n_pairs, d, n)``.
+
+        One deviation block ``y - mu_y`` serves both the whitening and the
+        gain product, which is one batched matrix product over the pairs.
+        """
+        dev = self.obs._deviations(batch)
+        alpha = self._softmax(self.obs._whitened_log_pdfs(dev))
+        means = self.gains @ dev
+        means += self.x_means[:, :, None]
+        return alpha, means
 
     # -- public inference ----------------------------------------------------
 
@@ -118,7 +136,7 @@ class PrecomputedEstimator:
         nonnegative and sum to 1 over the pairs.
         """
         batch, single = _as_batch(y, self.model.observation_dim, "observation")
-        alpha = self._responsibilities_flat(batch)
+        alpha = self._softmax(self.log_observation_pdfs(batch))
         shape = (self.n_signal, self.n_noise)
         return alpha[:, 0].reshape(shape) if single else alpha.reshape(shape + (-1,))
 
@@ -130,24 +148,22 @@ class PrecomputedEstimator:
         ``m = 1``. Non-finite observations raise :class:`ValidationError`.
         """
         batch, single = _as_batch(y, self.model.observation_dim, "observation")
-        alpha = self._responsibilities_flat(batch)
-        comp_means = self._component_means(batch)
+        alpha, comp_means = self._posterior_terms(batch)
         if single:
-            return alpha[:, 0] @ comp_means[:, 0, :]
-        return np.einsum("pn,pnd->nd", alpha, comp_means)
+            return alpha[:, 0] @ comp_means[:, :, 0]
+        return np.einsum("pn,pdn->nd", alpha, comp_means)
 
     def posterior(self, y) -> "PosteriorGM":
         """The full posterior mixture of the signal given a single ``y``."""
         batch, single = _as_batch(y, self.model.observation_dim, "observation")
         if not single:
             raise ValidationError("posterior expects a single observation vector")
-        alpha = self._responsibilities_flat(batch)[:, 0]
-        comp_means = self._component_means(batch)[:, 0, :]
+        alpha, comp_means = self._posterior_terms(batch)
         shape = (self.n_signal, self.n_noise)
         d = self.model.signal_dim
         return PosteriorGM(
-            responsibilities=alpha.reshape(shape),
-            component_means=comp_means.reshape(shape + (d,)),
+            responsibilities=alpha[:, 0].reshape(shape),
+            component_means=comp_means[:, :, 0].reshape(shape + (d,)),
             component_covariances=self.comp_post_covs.reshape(shape + (d, d)),
         )
 

@@ -193,9 +193,20 @@ class GaussianMixture:
         Each deviation ``x - u_k`` is whitened as ``z = L_k^-1 (x - u_k)``;
         subtracting the mean before whitening keeps far-out points accurate.
         """
-        dev = np.asarray(points, dtype=float).T[None, :, :] - self.means[:, :, None]
+        return self._whitened_log_pdfs(self._deviations(points))
+
+    def _deviations(self, points: np.ndarray) -> np.ndarray:
+        """The ``(K, d, n)`` block of deviations ``x - u_k`` of a ``(n, d)`` batch."""
+        return np.asarray(points, dtype=float).T[None, :, :] - self.means[:, :, None]
+
+    def _whitened_log_pdfs(self, dev: np.ndarray) -> np.ndarray:
+        """Per-component log-densities, shape ``(K, n)``, from a :meth:`_deviations` block."""
         z = self._inv_chols @ dev
-        return self._log_norms[:, None] - 0.5 * np.einsum("kin,kin->kn", z, z)
+        # log_norms - 0.5 |z|^2, computed in place; the same roundings as the expression.
+        out = np.einsum("kin,kin->kn", z, z)
+        out *= -0.5
+        out += self._log_norms[:, None]
+        return out
 
     def log_density(self, x) -> np.ndarray | float:
         """Mixture log-density via log-sum-exp over components.
@@ -246,8 +257,10 @@ class GaussianMixture:
         idx = rng.choice(len(self), size=count, p=self.weights)
         z = rng.standard_normal((count, self.dim))
         for k in range(len(self)):
-            rows = idx == k
-            if np.any(rows):
+            rows = np.flatnonzero(idx == k)
+            if rows.size == count:  # one component holds every row
+                return self.means[k] + z @ self.chols[k].T
+            if rows.size:
                 out[rows] = self.means[k] + z[rows] @ self.chols[k].T
         return out
 

@@ -90,9 +90,9 @@ def _sweep_integer(name: str, value) -> int:
 
 def _mean_stderr(errors: np.ndarray) -> tuple[float, float]:
     n = errors.size
-    mean = math.fsum(errors) / n
+    mean = math.fsum(errors.tolist()) / n
     dev = errors - mean
-    var = math.fsum(dev * dev) / (n - 1)
+    var = math.fsum((dev * dev).tolist()) / (n - 1)
     return mean, math.sqrt(var / n)
 
 

@@ -98,10 +98,34 @@ def per_pair_conditioning(pre: PrecomputedEstimator) -> tuple[np.ndarray, np.nda
     return np.stack(gains), np.stack(post_covs)
 
 
+def einsum_posterior_terms(pre: PrecomputedEstimator, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities ``(n_pairs, n)`` and per-pair posterior means ``(n_pairs, n, d)``.
+
+    The estimator's former gain path, kept as the reference for its batched
+    gain product: a second innovation ``y - mu_y`` per pair, after the one the
+    log-densities formed, with the gains applied by a generic einsum.
+    """
+    alpha = pre.responsibilities(ys).reshape(pre.n_pairs, -1)
+    innov = ys[None, :, :] - pre.obs.means[:, None, :]
+    return alpha, pre.x_means[:, None, :] + np.einsum("pdm,pnm->pnd", pre.gains, innov)
+
+
+def einsum_estimate(pre: PrecomputedEstimator, ys: np.ndarray) -> np.ndarray:
+    """The former batch estimate: the einsum reference, reduced over ``(pairs, n, d)``."""
+    alpha, comp_means = einsum_posterior_terms(pre, ys)
+    return np.einsum("pn,pnd->nd", alpha, comp_means)
+
+
+def einsum_single_estimate(pre: PrecomputedEstimator, y: np.ndarray) -> np.ndarray:
+    """The former single-observation estimate from the einsum reference."""
+    alpha, comp_means = einsum_posterior_terms(pre, y[None, :])
+    return alpha[:, 0] @ comp_means[:, 0, :]
+
+
 def assert_matches_per_pair_loops(pre: PrecomputedEstimator) -> None:
     gains, post_covs = per_pair_conditioning(pre)
     npt.assert_array_equal(pre.gains, gains)
-    assert pre.gains.flags.c_contiguous  # the layout the per-observation einsum rounds with
+    assert pre.gains.flags.c_contiguous  # the layout the batched gain product reads
     npt.assert_array_equal(pre.comp_post_covs, post_covs)
     npt.assert_array_equal(pre.obs._inv_chols, reference_inv_chols(pre.obs.chols))
 
@@ -266,6 +290,46 @@ class TestMmseEstimate:
             npt.assert_array_equal(got, want)
 
 
+class TestGainProduct:
+    """The batched gain product against the einsum path it replaced."""
+
+    def test_figure1_estimates_equal_einsum_reference(self):
+        # Every figure-1 gain is diagonal, so each product term is exact and
+        # the estimates keep their bits at every calibrated SNR.
+        run = load_config(packaged_config("figure1.config"))
+        grid = run.sweep_config().snr_db_grid
+        assert len(grid) == 61
+        for index, snr_db in enumerate(grid):
+            scaled, _ = calibrate_noise_scale(run.model, snr_db)
+            pre = PrecomputedEstimator(scaled)
+            ys = scaled.x_prior.sample(2000, 2 * index) @ scaled.H.T \
+                + scaled.noise.sample(2000, 2 * index + 1)
+            npt.assert_array_equal(pre.estimate(ys), einsum_estimate(pre, ys))
+            npt.assert_array_equal(pre.estimate(ys[0]), einsum_single_estimate(pre, ys[0]))
+
+    def test_random_models_match_einsum_reference(self):
+        # Full gains sum their products in another order; tolerance relative
+        # to the largest per-pair posterior mean, which the estimate averages.
+        rng = np.random.default_rng(20)
+        for i in range(40):
+            d, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+            k, l = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            model = random_model(rng, d, m, k, l, zero_weight=i % 2 == 0)
+            scaled, _ = calibrate_noise_scale(model, float(rng.uniform(-20.0, 60.0)))
+            pre = PrecomputedEstimator(scaled)
+            ys = scaled.x_prior.sample(300, 2 * i) @ scaled.H.T + scaled.noise.sample(300, 2 * i + 1)
+            _, comp_means = einsum_posterior_terms(pre, ys)
+            atol = 1e-13 * (1.0 + np.max(np.abs(comp_means)))
+            npt.assert_allclose(pre.estimate(ys), einsum_estimate(pre, ys), rtol=1e-13, atol=atol)
+            y = ys[0]
+            npt.assert_allclose(pre.estimate(y), einsum_single_estimate(pre, y), rtol=1e-13, atol=atol)
+            post = pre.posterior(y)
+            _, single_means = einsum_posterior_terms(pre, y[None, :])
+            npt.assert_allclose(post.component_means.reshape(-1, d), single_means[:, 0, :],
+                                rtol=1e-13, atol=atol)
+            npt.assert_allclose(post.mean(), einsum_single_estimate(pre, y), rtol=1e-13, atol=atol)
+
+
 class TestPosterior:
     def test_mean_equals_estimate_exactly(self):
         rng = np.random.default_rng(6)
@@ -375,7 +439,7 @@ class TestInformationFormIdentity:
             pre = PrecomputedEstimator(model)
             y = rng.normal(size=3)
             reference = information_form_means(model, y)
-            ours = pre._component_means(y[None, :])[:, 0, :]
+            ours = pre.posterior(y).component_means.reshape(-1, 3)
             scale = 1.0 + np.linalg.norm(reference, axis=1, keepdims=True)
             assert np.max(np.abs(ours - reference) / scale) < 1e-8
 

@@ -42,6 +42,20 @@ def single_standard(dim: int = 1) -> GaussianMixture:
     return GaussianMixture.single(np.zeros(dim), np.eye(dim))
 
 
+def masked_sample(mixture: GaussianMixture, count: int, seed: int) -> np.ndarray:
+    """The sampler's former component loop, selecting rows by boolean masks:
+    the bit-exact reference for the index-array loop."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    out = np.empty((count, mixture.dim))
+    idx = rng.choice(len(mixture), size=count, p=mixture.weights)
+    z = rng.standard_normal((count, mixture.dim))
+    for k in range(len(mixture)):
+        rows = idx == k
+        if np.any(rows):
+            out[rows] = mixture.means[k] + z[rows] @ mixture.chols[k].T
+    return out
+
+
 # ---------------------------------------------------------------- validation
 
 
@@ -307,6 +321,15 @@ class TestSampling:
         mix = random_mixture(np.random.default_rng(3), 2, 3)
         npt.assert_array_equal(mix.sample(100, seed=5), mix.sample(100, seed=5))
         assert not np.array_equal(mix.sample(100, seed=5), mix.sample(100, seed=6))
+
+    def test_matches_masked_loop_reference(self):
+        # K cycles through 1..5; with zero_weight, K = 2 leaves one component
+        # holding every row.
+        rng = np.random.default_rng(19)
+        for i in range(40):
+            mix = random_mixture(rng, int(rng.integers(1, 6)), 1 + i % 5, zero_weight=i % 2 == 1)
+            count, seed = int(rng.integers(1, 3000)), int(rng.integers(2**32))
+            npt.assert_array_equal(mix.sample(count, seed), masked_sample(mix, count, seed))
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError, match="negative"):
