@@ -6,10 +6,10 @@ Subcommands::
     gmbayes estimate     --config model.config --y "1.0, 2.0"  (or --y @vector.txt)
     gmbayes sweep        --config model.config --out sweep.csv [--svg sweep.svg]
                          [--trials N] [--seed N] [--estimators mmse,lmmse] [--workers N]
-    gmbayes oracle-check --config model.config [--grid-points N] [--span-sigmas S]
+    gmbayes oracle-check --config model.config [--grid-points N]
 
-Exit codes: 0 success, 1 validation failure (bad config, failed check),
-2 runtime failure (I/O, internal error).
+Exit codes: 0 success, 1 validation failure (bad config or option, failed
+check), 2 runtime failure (I/O, internal error).
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def cmd_oracle_check(args) -> int:
     run = load_config(args.config)
     model = run.model
     _check_scalar_model(model)
-    spec = QuadratureSpec(grid_points=args.grid_points, span_sigmas=args.span_sigmas)
+    spec = QuadratureSpec(grid_points=args.grid_points)
     pre = PrecomputedEstimator(model)
     y_values = support_grid(pre.obs, _ORACLE_SPAN, _ORACLE_POINTS)
     analytic = pre.estimate(y_values[:, None])[:, 0]
@@ -145,8 +145,16 @@ def cmd_oracle_check(args) -> int:
     return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints the usage of a malformed command line, then raises :class:`ValidationError`."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gmbayes",
         description="MMSE estimation and MSE bounds for Gaussian-mixture Bayesian linear models",
     )
@@ -179,8 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="path to a 1-D .config file")
     p.add_argument("--grid-points", type=int, default=QuadratureSpec.grid_points,
                    help="quadrature grid size (odd, >= 1001)")
-    p.add_argument("--span-sigmas", type=float, default=QuadratureSpec.span_sigmas,
-                   help="grid half-width in component sigmas (>= 8)")
     p.set_defaults(func=cmd_oracle_check)
 
     return parser
@@ -198,13 +204,9 @@ def _resolve_config(value: str) -> Path:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         args.config = _resolve_config(args.config)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return args.func(args)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

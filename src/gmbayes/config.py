@@ -34,7 +34,7 @@ import numpy as np
 
 from .mixture import GaussianMixture, ValidationError
 from .model import BayesianLinearModel
-from .montecarlo import ESTIMATOR_NAMES, SweepConfig, _sweep_integer
+from .montecarlo import ESTIMATOR_NAMES, SweepConfig, _estimator_name, _sweep_integer
 
 __all__ = [
     "ConfigError",
@@ -180,11 +180,10 @@ def _sweep(value, path: str, model: BayesianLinearModel) -> SweepConfig:
     if not isinstance(raw_estimators, list):
         raise ConfigError(f"{path}.estimators", "expected a list of estimator names")
     for i, name in enumerate(raw_estimators):
-        if name not in ESTIMATOR_NAMES:
-            raise ConfigError(
-                f"{path}.estimators[{i}]",
-                f"unknown estimator {name!r}; expected a subset of {ESTIMATOR_NAMES}",
-            )
+        try:
+            _estimator_name(name)
+        except ValidationError as exc:
+            raise ConfigError(f"{path}.estimators[{i}]", str(exc)) from exc
     return SweepConfig(
         model=model,
         snr_db_grid=_grid(section, path),

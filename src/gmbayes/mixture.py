@@ -235,22 +235,19 @@ class GaussianMixture:
 
     # -- sampling ---------------------------------------------------------
 
-    def sample(self, count: int, seed) -> np.ndarray:
+    def sample(self, count: int, seed: int) -> np.ndarray:
         """Draw ``count`` vectors, shape ``(count, d)``, reproducibly.
 
-        The generator is a Philox counter-based bit generator seeded with
-        ``seed`` (an int or ``numpy.random.SeedSequence``). The draw is a
-        categorical pick over the component weights followed by
-        ``mean + chol @ z`` with ``z`` standard normal; all standard-normal
-        variates are drawn in one block after the categorical pick, so the
-        output is a pure function of (seed, numpy version). ``count`` must be
-        a non-negative integer, and ``seed`` a non-negative integer or a
-        ``SeedSequence``; anything else raises :class:`ValidationError`.
+        The generator is a Philox counter-based bit generator seeded with the
+        integer ``seed``. The draw is a categorical pick over the component
+        weights followed by ``mean + chol @ z`` with ``z`` standard normal;
+        all standard-normal variates are drawn in one block after the
+        categorical pick, so the output is a pure function of (seed, numpy
+        version). ``count`` and ``seed`` must be non-negative integers;
+        anything else raises :class:`ValidationError`.
         """
         count = _integer("count", count)
-        if not isinstance(seed, np.random.SeedSequence):
-            seed = _integer("seed", seed)
-        rng = np.random.Generator(np.random.Philox(seed))
+        rng = np.random.Generator(np.random.Philox(_integer("seed", seed)))
         out = np.empty((count, self.dim))
         if count == 0:
             return out

@@ -80,12 +80,20 @@ def _squared_errors(x: np.ndarray, y: np.ndarray, predict) -> np.ndarray:
 
 def _sweep_integer(name: str, value) -> int:
     """``value`` as an ``int`` under the one sweep rule for ``name``: a
-    non-negative integer (:func:`gmbayes.mixture._integer`), and ``trials`` at
-    least 2, as a standard error needs two trials."""
+    non-negative integer (:func:`gmbayes.mixture._integer`), ``trials`` at
+    least 2, as a standard error needs two trials, and ``workers`` at least 1."""
     number = _integer(name, value)
-    if name == "trials" and number < 2:
-        raise ValidationError(f"trials {number} < 2; the standard error needs at least 2")
+    least = {"trials": 2, "workers": 1}.get(name, 0)
+    if number < least:
+        raise ValidationError(f"{name} {number} < {least}; {name} must be at least {least}")
     return number
+
+
+def _estimator_name(name) -> str:
+    """``name`` if it is one of :data:`ESTIMATOR_NAMES`, else :class:`ValidationError`."""
+    if name not in ESTIMATOR_NAMES:
+        raise ValidationError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
+    return name
 
 
 def _mean_stderr(errors: np.ndarray) -> tuple[float, float]:
@@ -99,9 +107,7 @@ def _mean_stderr(errors: np.ndarray) -> tuple[float, float]:
 def _predictor(model: BayesianLinearModel, pre: PrecomputedEstimator | None, name: str):
     if name == "mmse":
         return (pre or PrecomputedEstimator(model)).estimate
-    if name == "lmmse":
-        return LmmseEstimator(model).estimate
-    raise ValidationError(f"unknown estimator {name!r}; expected one of {ESTIMATOR_NAMES}")
+    return LmmseEstimator(model).estimate
 
 
 def estimate_mse(
@@ -119,7 +125,7 @@ def estimate_mse(
     """
     trials = _sweep_integer("trials", trials)
     seed = _sweep_integer("seed", seed)
-    predict = _predictor(model, None, estimator)
+    predict = _predictor(model, None, _estimator_name(estimator))
     x, y = _draw_observations(model, trials, seed)
     return _mean_stderr(_squared_errors(x, y, predict))
 
@@ -142,15 +148,9 @@ class SweepConfig:
             raise ValidationError("SNR grid has non-finite entries")
         object.__setattr__(self, "trials", _sweep_integer("trials", self.trials))
         object.__setattr__(self, "seed", _sweep_integer("seed", self.seed))
-        for name in self.estimators:
-            if name not in ESTIMATOR_NAMES:
-                raise ValidationError(
-                    f"unknown estimator {name!r}; expected a subset of {ESTIMATOR_NAMES}"
-                )
+        names = [_estimator_name(name) for name in self.estimators]
         # canonical order, duplicates dropped
-        object.__setattr__(
-            self, "estimators", tuple(n for n in ESTIMATOR_NAMES if n in self.estimators)
-        )
+        object.__setattr__(self, "estimators", tuple(n for n in ESTIMATOR_NAMES if n in names))
         object.__setattr__(self, "snr_db_grid", grid)
 
 
@@ -207,11 +207,12 @@ def _run_point(config: SweepConfig, index: int) -> SweepPoint:
 def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepPoint]:
     """Run the sweep, one point per grid entry, in grid order.
 
-    ``workers > 1`` evaluates points concurrently; per-point seeds make the
-    output identical to the serial run.
+    ``workers`` (a positive integer) points run concurrently; per-point seeds
+    make the output identical to the serial run.
     """
+    workers = _sweep_integer("workers", workers)
     indices = range(len(config.snr_db_grid))
-    if workers <= 1:
+    if workers == 1:
         return [_run_point(config, i) for i in indices]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda i: _run_point(config, i), indices))

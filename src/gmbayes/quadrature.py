@@ -5,18 +5,18 @@ of the closed-form mixture algebra, so it can serve as an independent check
 of the analytic estimator: posterior density proportional to
 ``prior(x) * noise_density(y - H x)``, integrated with the trapezoid rule.
 
-The x grid spans every prior component mean by ``span_sigmas`` component
-standard deviations, which puts the truncated tail mass below 1e-30 at the
-default span of 12. Log densities are shifted by their per-query maximum
-before exponentiation, so the moment ratios stay well conditioned even when
-the absolute posterior scale underflows. The three trapezoid sums (mass,
+The x grid spans every prior component mean by ``SPAN_SIGMAS`` = 12 component
+standard deviations, which puts the truncated tail mass below 1e-30. Log
+densities are shifted by their per-query maximum before exponentiation, so
+the moment ratios stay well conditioned even when the absolute posterior
+scale underflows. The three trapezoid sums (mass,
 first and second moment) of a block of queries are one matrix product
 against the stacked trapezoid weights.
 
 :func:`quad_mse` puts its y grid on a lattice whose spacing is an integer
 multiple of ``|H| * dx``. Every residual ``y_i - H x_j`` then lies on one
-1-D lattice, so the noise log-density is evaluated once per lattice node a
-block of queries touches instead of once per (y, x) pair.
+1-D lattice, so the noise log-density is evaluated once per lattice node
+instead of once per (y, x) pair.
 """
 
 from __future__ import annotations
@@ -29,7 +29,10 @@ import numpy as np
 from .mixture import GaussianMixture, ValidationError
 from .model import BayesianLinearModel, observation_mixture
 
-__all__ = ["QuadratureSpec", "quad_posterior_mean", "quad_mse", "support_grid"]
+__all__ = ["SPAN_SIGMAS", "QuadratureSpec", "quad_posterior_mean", "quad_mse", "support_grid"]
+
+# Half-width of the x and y grids in component standard deviations.
+SPAN_SIGMAS = 12.0
 
 # Absolute posterior mass below this is treated as "no numerical support".
 _SUPPORT_FLOOR = 1e-300
@@ -44,18 +47,15 @@ _RESIDUALS_PER_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Grid resolution (odd point count) and half-width in component sigmas."""
+    """Grid resolution: an odd point count of at least 1001."""
 
     grid_points: int = 20001
-    span_sigmas: float = 12.0
 
     def __post_init__(self):
         if self.grid_points < 1001 or self.grid_points % 2 == 0:
             raise ValidationError(
                 f"grid_points {self.grid_points} must be odd and at least 1001"
             )
-        if not self.span_sigmas >= 8.0:
-            raise ValidationError(f"span_sigmas {self.span_sigmas} must be at least 8")
 
 
 def _check_scalar_model(model: BayesianLinearModel):
@@ -123,7 +123,7 @@ def quad_posterior_mean(
     if not np.all(np.isfinite(y_arr)):
         raise ValidationError("y has non-finite entries")
     h = model.H[0, 0]
-    grid = support_grid(model.x_prior, spec.span_sigmas, spec.grid_points)
+    grid = support_grid(model.x_prior, SPAN_SIGMAS, spec.grid_points)
     log_prior = model.x_prior.log_density(grid)
     moment_weights = _moment_weights(grid)
     means = np.empty_like(y_arr)
@@ -152,19 +152,19 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
 
     The y grid is a residual lattice: its spacing is the smallest integer
     multiple ``s`` of ``q = |H| dx`` (``q = dx`` when ``H = 0``) that covers
-    the observation mixture's ``span_sigmas`` support with at most
+    the observation mixture's ``SPAN_SIGMAS`` support with at most
     ``grid_points`` nodes. Then ``y_i - H x_j = r0 + (s i - sign(H) j) q``,
-    so each block of y rows evaluates the noise log-density once on the
-    contiguous lattice segment it touches and gathers from it by index. When
-    that segment would be longer than the block itself (``|H|`` so small that
-    ``s`` exceeds the x grid size), the block evaluates the noise directly
-    at its residuals instead, so memory stays O(rows x grid) either way.
-    Every block's lattice offsets are the same, so they and the block's log
+    so the noise log-density is evaluated once per node of the whole lattice
+    and each block of y rows gathers from a slice of it by index. When the
+    lattice would hold more nodes than one block has entries (``|H|`` so
+    small that ``s`` is large), each block evaluates the noise directly at
+    its residuals instead, so memory stays O(rows x grid) either way. Every
+    block's lattice offsets are the same, so they and the block's log
     posterior are allocated once and reused.
     """
     _check_scalar_model(model)
     h = float(model.H[0, 0])
-    x_grid = support_grid(model.x_prior, spec.span_sigmas, spec.grid_points)
+    x_grid = support_grid(model.x_prior, SPAN_SIGMAS, spec.grid_points)
     log_prior = model.x_prior.log_density(x_grid)
     moment_weights = _moment_weights(x_grid)
     size = x_grid.size
@@ -173,32 +173,32 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
     sign = int(np.sign(h))
 
     obs = observation_mixture(model)
-    low, high = _support_interval(obs, spec.span_sigmas)
+    low, high = _support_interval(obs, SPAN_SIGMAS)
     stride = max(1, math.ceil((high - low) / ((size - 1) * step)))
     y_count = min(size, math.ceil((high - low) / (stride * step)) + 1)
     y_index = stride * np.arange(y_count)  # lattice index of each y node
     y_grid = low + y_index * step
     origin = low - h * x_grid[0]  # residual at lattice index 0
     density = np.exp(obs.log_density(y_grid))
-    # Lattice index of residual (i, j) is y_index[i] + column[j]; relative to
-    # the lowest index a block touches, row i of any block is offsets[i].
+    # Lattice index of residual (i, j) is y_index[i] + column[j], at least
+    # column_low; in a block from y row b it is column_low + stride b + offsets[i - b].
     column = -sign * np.arange(size)
     column_low, column_high = int(column.min()), int(column.max())
     offsets = (stride * np.arange(_CHUNK_ROWS) - column_low)[:, None] + column[None, :]
     log_w = np.empty(offsets.shape)
+    nodes = int(y_index[-1]) + column_high - column_low + 1
+    lattice = (model.noise.log_density(origin + np.arange(column_low, column_low + nodes) * step)
+               if nodes <= log_w.size else None)
 
     integrand = np.empty_like(y_grid)
     for start in range(0, y_count, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, y_count))
         count = rows.stop - start
-        lattice_low = int(y_index[start]) + column_low
-        lattice_high = int(y_index[rows.stop - 1]) + column_high
         block = log_w[:count]
-        if lattice_high - lattice_low < block.size:
-            segment = np.arange(lattice_low, lattice_high + 1)
-            np.take(model.noise.log_density(origin + segment * step), offsets[:count], out=block)
+        if lattice is not None:
+            np.take(lattice[stride * start:], offsets[:count], out=block)
         else:
-            residual = origin + (lattice_low + offsets[:count].reshape(-1)) * step
+            residual = origin + (column_low + stride * start + offsets[:count].reshape(-1)) * step
             block[...] = model.noise.log_density(residual).reshape(block.shape)
         block += log_prior
         first, second, _ = _posterior_moments(block, moment_weights)

@@ -2,13 +2,27 @@
 
 from __future__ import annotations
 
+import importlib
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from scipy.linalg import block_diag, solve_triangular
 
 from gmbayes import BayesianLinearModel, GaussianMixture
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def suite(monkeypatch):
+    """The benchmark's ``perfbench/suite.py`` module, imported as the benchmark
+    imports it."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("suite")
 
 
 def random_spd(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:

@@ -64,9 +64,6 @@ from gmbayes.cli import main as cli_main
 
 from conftest import random_mixture, random_model, random_spd
 
-# sha256 of the figure-1 sweep CSV as rendered with numpy 2.4.6.
-FIGURE1_CSV_SHA256 = "69649aba08a285ef3320c2ed903a452496f3c42864e107ac689cfdca816e7a89"
-
 
 @contextmanager
 def criterion(capsys, number, label, budget_s=None):
@@ -114,7 +111,7 @@ def test_criterion_1_gaussian_collapse(capsys):
 
 def test_criterion_2_oracle_equivalence(capsys):
     with criterion(capsys, 2, "oracle equivalence", budget_s=30.0) as details:
-        spec = QuadratureSpec(grid_points=2001, span_sigmas=12.0)
+        spec = QuadratureSpec(grid_points=2001)
         rng = np.random.default_rng(42)
         worst_dev, escaped = 0.0, 0
         for _ in range(20):
@@ -151,7 +148,7 @@ def _check_sandwich(points):
         )
 
 
-def test_criterion_3_reference_sweep(capsys):
+def test_criterion_3_reference_sweep(capsys, suite):
     with criterion(capsys, 3, "reference sweep reproduction", budget_s=300.0) as details:
         run = load_config(packaged_config("figure1.config"))
 
@@ -165,10 +162,10 @@ def test_criterion_3_reference_sweep(capsys):
         assert config.trials == 50000 and len(config.snr_db_grid) == 61
         points = run_sweep(config)
 
-        # The benchmark pins these bytes as FIGURE1_CSV_SHA256 in
-        # perfbench/suite.py; a deliberate re-record updates both places.
+        # The one pinned copy of these bytes is the benchmark's
+        # FIGURE1_CSV_SHA256; a deliberate re-record updates it there.
         digest = hashlib.sha256(render_sweep_csv(config, points).encode()).hexdigest()
-        assert digest == FIGURE1_CSV_SHA256, f"figure-1 CSV sha256 {digest}"
+        assert digest == suite.FIGURE1_CSV_SHA256, f"figure-1 CSV sha256 {digest}"
 
         # (a) sandwich everywhere
         _check_sandwich(points)

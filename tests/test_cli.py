@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import gmbayes.cli
+import gmbayes.montecarlo
 from gmbayes import SWEEP_CSV_HEADER, parse_sweep_csv
 from gmbayes.cli import main
 
@@ -194,6 +195,32 @@ class TestSweep:
         assert err.startswith("error:") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--workers", "0"], "workers 0 < 1"),
+        (["--workers", "-2"], "workers -2 is negative"),
+        (["--workers", "2.5"], "argument --workers: invalid int value: '2.5'"),
+        (["--workers", "True"], "argument --workers: invalid int value: 'True'"),
+        (["--trials", "abc"], "argument --trials: invalid int value: 'abc'"),
+    ])
+    def test_bad_option_exit_1_before_any_point(self, tmp_path, capsys, monkeypatch,
+                                                extra, message):
+        # bad input: never argparse's exit 2, and never a serial run
+        def started(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(gmbayes.montecarlo, "ThreadPoolExecutor", started)
+        monkeypatch.setattr(gmbayes.montecarlo, "_run_point", started)
+        code, out = self.run_sweep_cli(tmp_path, "a.csv", extra=extra)
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: gmbayes sweep")
+
     def test_failed_point_reported_and_exit_1(self, tmp_path, capsys):
         doc = json.loads(json.dumps(SCALAR_GAUSSIAN))
         doc["sweep"] = {
@@ -224,6 +251,14 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "oracle check on 101 observation values" in out
+
+    def test_removed_span_option_exit_1(self, capsys):
+        # the grid half-width is the fixed quadrature.SPAN_SIGMAS
+        code = main(["oracle-check", "--config", "oracle1d.config", "--span-sigmas", "12"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: gmbayes")
+        assert "error: unrecognized arguments: --span-sigmas 12" in err
 
     def test_single_gaussian_deviation_tiny(self, tmp_path, capsys):
         config = write_config(tmp_path, SCALAR_GAUSSIAN)

@@ -6,7 +6,15 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gmbayes import ConfigError, SweepConfig, load_config, packaged_config, parse_config
+from gmbayes import (
+    ConfigError,
+    SweepConfig,
+    ValidationError,
+    estimate_mse,
+    load_config,
+    packaged_config,
+    parse_config,
+)
 
 MINIMAL = {
     "model": {
@@ -142,6 +150,22 @@ class TestParseErrors:
             "trials": 5, "seed": 0, "estimators": ["mmse", "map"],
         })
         self.check(text, "sweep.estimators[1]", "")
+
+    def test_estimator_names_one_rule(self):
+        # the file, SweepConfig and estimate_mse give the one rule's message
+        message = "unknown estimator 'map'; expected one of ('mmse', 'lmmse')"
+        text = variant(sweep={
+            "snr_db_start": 0, "snr_db_stop": 1, "snr_db_step": 1,
+            "trials": 5, "seed": 0, "estimators": ["mmse", "map"],
+        })
+        self.check(text, "sweep.estimators[1]", message)
+        model = parse_config(variant()).model
+        with pytest.raises(ValidationError) as info:
+            SweepConfig(model, (0.0,), trials=5, seed=0, estimators=("mmse", "map"))
+        assert str(info.value) == message
+        with pytest.raises(ValidationError) as info:
+            estimate_mse(model, 5, 0, estimator="map")
+        assert str(info.value) == message
 
     def test_fractional_trials_rejected(self):
         text = variant(sweep={"snr_db_start": 0, "snr_db_stop": 1, "snr_db_step": 1, "trials": 2.5, "seed": 0})

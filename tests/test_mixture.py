@@ -347,19 +347,20 @@ class TestSampling:
             (5, True, "seed True is not an integer"),
             (5, None, "seed None is not an integer"),
             (5, "7", "seed '7' is not an integer"),
+            (5, np.random.SeedSequence(11), "seed SeedSequence"),
         ],
     )
     def test_bad_count_or_seed_rejected(self, count, seed, message):
         # formerly a raw TypeError or ValueError, or (seed None, True) accepted,
-        # None drawing from fresh OS entropy
+        # None drawing from fresh OS entropy; a SeedSequence was accepted too,
+        # though every caller passes an integer
         with pytest.raises(ValidationError, match=message):
             single_standard().sample(count, seed)
 
-    def test_numpy_integers_and_seed_sequence_accepted(self):
+    def test_numpy_integers_accepted(self):
         mix = random_mixture(np.random.default_rng(4), 2, 3)
         expected = mix.sample(50, 11)
         npt.assert_array_equal(mix.sample(np.int64(50), np.uint32(11)), expected)
-        npt.assert_array_equal(mix.sample(50, np.random.SeedSequence(11)), expected)
 
 
 # ----------------------------------------------------- appendix propositions

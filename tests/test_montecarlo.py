@@ -168,6 +168,23 @@ class TestRunSweep:
         config = SweepConfig(oracle_model(), (-5.0, 5.0, 15.0), trials=3000, seed=2)
         assert run_sweep(config) == run_sweep(config)
 
+    @pytest.mark.parametrize("workers, message", [
+        (0, "workers 0 < 1"),
+        (-2, "workers -2 is negative"),
+        (2.5, "workers 2.5 is not an integer"),
+        (True, "workers True is not an integer"),
+    ])
+    def test_bad_workers_rejected_before_any_point(self, monkeypatch, workers, message):
+        # formerly 0 and -2 ran serially
+        def started(*args, **kwargs):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", started)
+        monkeypatch.setattr(mc, "_run_point", started)
+        config = SweepConfig(oracle_model(), (0.0,), trials=10, seed=0)
+        with pytest.raises(ValidationError, match=message):
+            run_sweep(config, workers=workers)
+
     def test_parallel_matches_serial(self):
         config = SweepConfig(oracle_model(), tuple(range(-5, 16, 5)), trials=2000, seed=3)
         assert run_sweep(config, workers=4) == run_sweep(config, workers=1)

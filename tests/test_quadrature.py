@@ -18,11 +18,11 @@ from gmbayes import (
     quad_mse,
     quad_posterior_mean,
 )
-from gmbayes.quadrature import support_grid
+from gmbayes.quadrature import SPAN_SIGMAS, support_grid
 
 from conftest import random_model
 
-SPEC = QuadratureSpec(grid_points=4001, span_sigmas=12.0)
+SPEC = QuadratureSpec(grid_points=4001)
 
 
 def scalar_wiener_model() -> BayesianLinearModel:
@@ -46,8 +46,8 @@ def brute_force_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec) -> fl
     """
     h = model.H[0, 0]
     obs = observation_mixture(model)
-    x = support_grid(model.x_prior, spec.span_sigmas, spec.grid_points)
-    y = support_grid(obs, spec.span_sigmas, spec.grid_points)
+    x = support_grid(model.x_prior, SPAN_SIGMAS, spec.grid_points)
+    y = support_grid(obs, SPAN_SIGMAS, spec.grid_points)
     log_prior = model.x_prior.log_density(x)
     variance = np.empty_like(y)
     for start in range(0, y.size, 64):
@@ -81,7 +81,7 @@ class TestQuadratureSpec:
     def test_defaults(self):
         spec = QuadratureSpec()
         assert spec.grid_points == 20001
-        assert spec.span_sigmas == 12.0
+        assert SPAN_SIGMAS == 12.0
 
     def test_even_grid_rejected(self):
         with pytest.raises(ValidationError, match="odd"):
@@ -90,10 +90,6 @@ class TestQuadratureSpec:
     def test_small_grid_rejected(self):
         with pytest.raises(ValidationError, match="1001"):
             QuadratureSpec(grid_points=999)
-
-    def test_narrow_span_rejected(self):
-        with pytest.raises(ValidationError, match="at least 8"):
-            QuadratureSpec(span_sigmas=4.0)
 
 
 class TestQuadPosteriorMean:
@@ -119,13 +115,13 @@ class TestQuadPosteriorMean:
 
     def test_grid_convergence(self):
         model = load_config(packaged_config("oracle1d.config")).model
-        coarse = quad_posterior_mean(model, 0.7, QuadratureSpec(2001, 12.0))
-        fine = quad_posterior_mean(model, 0.7, QuadratureSpec(4001, 12.0))
+        coarse = quad_posterior_mean(model, 0.7, QuadratureSpec(2001))
+        fine = quad_posterior_mean(model, 0.7, QuadratureSpec(4001))
         assert abs(coarse - fine) < 1e-9
 
     def test_observation_outside_support(self):
         with pytest.raises(ValidationError, match="outside numerical support"):
-            quad_posterior_mean(scalar_wiener_model(), 60.0, QuadratureSpec(1001, 8.0))
+            quad_posterior_mean(scalar_wiener_model(), 60.0, QuadratureSpec(1001))
 
     def test_non_1d_model_rejected(self):
         model = random_model(np.random.default_rng(0), 2, 2, 2, 1)
@@ -172,6 +168,12 @@ class TestQuadMse:
         count = noise_evaluations(monkeypatch, oracle1d_model(h), spec)
         assert count < 0.05 * spec.grid_points**2
 
+    @pytest.mark.parametrize("points, nodes", [(4001, 9341), (20001, 46695)])
+    def test_lattice_evaluates_noise_once_per_node(self, monkeypatch, points, nodes):
+        # the oracle1d residual lattice, one noise evaluation per node
+        spec = QuadratureSpec(grid_points=points)
+        assert noise_evaluations(monkeypatch, oracle1d_model(), spec) == nodes
+
     @pytest.mark.parametrize("h", [1e-6, -1e-6])
     def test_tiny_gain_work_bounded_by_brute_force(self, monkeypatch, h):
         # the lattice stride exceeds the grid: residuals are evaluated directly
@@ -181,7 +183,7 @@ class TestQuadMse:
 
     def test_grid_convergence(self):
         model = oracle1d_model()
-        values = [quad_mse(model, QuadratureSpec(points, 12.0)) for points in (1001, 2001, 4001)]
+        values = [quad_mse(model, QuadratureSpec(points)) for points in (1001, 2001, 4001)]
         assert max(values) - min(values) <= 1e-12 * max(values)
 
     def test_matches_monte_carlo(self):
