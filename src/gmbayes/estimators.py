@@ -20,11 +20,14 @@ batched matrix product, and the responsibility-weighted reduction runs over
 the resulting ``(pairs, d, n)`` per-pair means.
 Responsibilities are evaluated as a softmax of log weights plus Gaussian
 log-densities, so they are well-defined even when every component
-likelihood underflows a double.
+likelihood underflows a double. A responsibility below the smallest normal
+double (``numpy.finfo(float).tiny``, about 2.2e-308) is exactly 0: such a
+term cannot move an estimate, and subnormal arithmetic is slow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +41,12 @@ __all__ = [
     "PosteriorGM",
     "LmmseEstimator",
 ]
+
+# Log-responsibilities below this are flushed to -inf before the exp. It
+# rounds so that exp(_LOG_TINY) is 2.7e-14 (relative) above tiny, more than
+# the few-ulp distance of a column sum from 1, so the division leaves no
+# surviving responsibility subnormal.
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 class PrecomputedEstimator:
@@ -106,10 +115,12 @@ class PrecomputedEstimator:
         """Responsibilities ``(n_pairs, n)`` from per-pair log-densities, in place.
 
         Overwrites ``log_pdfs``: adds the log weights, subtracts their
-        log-sum-exp, exponentiates, and divides by the sum.
+        log-sum-exp, sets values below ``log(tiny)`` to ``-inf``,
+        exponentiates, and divides by the sum.
         """
         log_pdfs += self.obs.log_weights[:, None]
         log_pdfs -= _log_sum_exp(log_pdfs)
+        np.putmask(log_pdfs, log_pdfs < _LOG_TINY, -np.inf)
         alpha = np.exp(log_pdfs, out=log_pdfs)
         alpha /= np.sum(alpha, axis=0, keepdims=True)
         return alpha

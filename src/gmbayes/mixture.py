@@ -243,16 +243,22 @@ class GaussianMixture:
         weights followed by ``mean + chol @ z`` with ``z`` standard normal;
         all standard-normal variates are drawn in one block after the
         categorical pick, so the output is a pure function of (seed, numpy
-        version). ``count`` and ``seed`` must be non-negative integers;
-        anything else raises :class:`ValidationError`.
+        version). A one-component mixture skips the pick but still advances
+        the generator past the ``count`` raw 64-bit draws it would have
+        consumed, so its ``z`` (and output) is the same as with the pick.
+        ``count`` and ``seed`` must be non-negative integers; anything else
+        raises :class:`ValidationError`.
         """
         count = _integer("count", count)
         rng = np.random.Generator(np.random.Philox(_integer("seed", seed)))
-        out = np.empty((count, self.dim))
         if count == 0:
-            return out
+            return np.empty((0, self.dim))
+        if len(self) == 1:
+            rng.bit_generator.random_raw(count, output=False)  # the pick's uniforms
+            return self.means[0] + rng.standard_normal((count, self.dim)) @ self.chols[0].T
         idx = rng.choice(len(self), size=count, p=self.weights)
         z = rng.standard_normal((count, self.dim))
+        out = np.empty((count, self.dim))
         for k in range(len(self)):
             rows = np.flatnonzero(idx == k)
             if rows.size == count:  # one component holds every row

@@ -13,9 +13,10 @@ Reproducibility contract:
 * Within a point, the same draws are reused for every estimator (paired
   sampling; the MMSE/LMMSE comparison then has no sampling noise between
   arms).
-* Squared errors are reduced with exact compensated summation
-  (``math.fsum``) over a per-trial array in fixed order, so batch size and
-  worker count never change the result: parallel and serial sweeps agree
+* Squared errors are reduced by an exact sum: the correctly rounded value of
+  the exact real sum, equal to ``math.fsum`` bit for bit. Bucketing the terms
+  by binary exponent makes it independent of term order and batch size, so
+  worker count never changes the result: parallel and serial sweeps agree
   bit for bit.
 """
 
@@ -45,6 +46,18 @@ __all__ = [
 ESTIMATOR_NAMES = ("mmse", "lmmse")
 
 _BATCH = 16384
+
+# _exact_sum splits each term into a high half (sign, exponent and the top
+# 27 significand bits) and a low half (the other 26 bits). Per binary
+# exponent, every high half is a multiple of one power of two u and below
+# 2**27 u in magnitude, and every low half a multiple of u / 2**26 and below
+# 2**26 (u / 2**26), subnormals (bucket 0) included; so a float64 bucket
+# total stays exact (below 2**53 of its unit) for up to 2**26 terms. Longer
+# arrays are summed in chunks.
+_EXACT_CHUNK = 1 << 26
+_HIGH_MASK = ~((1 << 26) - 1)
+# Terms at or above 2**960 (biased exponent 1983) could overflow a bucket.
+_EXP_LIMIT = 1023 + 960
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -96,11 +109,35 @@ def _estimator_name(name) -> str:
     return name
 
 
+def _exact_sum(values: np.ndarray) -> float:
+    """``math.fsum(values.tolist())`` for a contiguous 1-D float64 array,
+    without the list.
+
+    :func:`np.bincount` sums the high and the low halves of the terms per
+    biased exponent, exactly (see ``_EXACT_CHUNK``), and ``math.fsum`` then
+    rounds the exact sum of the nonzero bucket totals once. The result is
+    therefore independent of term order. Non-finite terms and terms at or
+    above ``2**960`` in magnitude take ``math.fsum`` directly.
+    """
+    totals: list[float] = []
+    for start in range(0, values.size, _EXACT_CHUNK):
+        chunk = values[start:start + _EXACT_CHUNK]
+        bits = chunk.view(np.int64)
+        exps = bits >> 52 & 0x7FF
+        if exps.max() >= _EXP_LIMIT:
+            return math.fsum(values.tolist())
+        high = (bits & _HIGH_MASK).view(np.float64)
+        for half in (high, chunk - high):  # the low half is exact (Sterbenz)
+            total = np.bincount(exps, weights=half)
+            totals.extend(total[total != 0].tolist())
+    return math.fsum(totals)
+
+
 def _mean_stderr(errors: np.ndarray) -> tuple[float, float]:
     n = errors.size
-    mean = math.fsum(errors.tolist()) / n
+    mean = _exact_sum(errors) / n
     dev = errors - mean
-    var = math.fsum((dev * dev).tolist()) / (n - 1)
+    var = _exact_sum(dev * dev) / (n - 1)
     return mean, math.sqrt(var / n)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixture import GaussianMixture, ValidationError
+from .mixture import GaussianMixture, ValidationError, _integer
 from .model import BayesianLinearModel, observation_mixture
 
 __all__ = ["SPAN_SIGMAS", "QuadratureSpec", "quad_posterior_mean", "quad_mse", "support_grid"]
@@ -52,6 +52,7 @@ class QuadratureSpec:
     grid_points: int = 20001
 
     def __post_init__(self):
+        object.__setattr__(self, "grid_points", _integer("grid_points", self.grid_points))
         if self.grid_points < 1001 or self.grid_points % 2 == 0:
             raise ValidationError(
                 f"grid_points {self.grid_points} must be odd and at least 1001"

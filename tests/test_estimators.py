@@ -22,6 +22,7 @@ from gmbayes import (
     packaged_config,
     scale_noise,
 )
+from gmbayes.mixture import _log_sum_exp
 
 from conftest import (
     point_inputs,
@@ -221,6 +222,37 @@ class TestResponsibilities:
             npt.assert_allclose(
                 batch[:, :, i], pre.responsibilities(y), rtol=1e-13, atol=1e-300
             )
+
+
+def unflushed_softmax(pre: PrecomputedEstimator, ys: np.ndarray) -> np.ndarray:
+    """The two-step softmax without the subnormal flush, ``(n_pairs, n)``:
+    the bit-exact reference for every responsibility the flush keeps."""
+    logs = pre.log_observation_pdfs(ys) + pre.obs.log_weights[:, None]
+    logs -= _log_sum_exp(logs)
+    alpha = np.exp(logs)
+    return alpha / np.sum(alpha, axis=0, keepdims=True)
+
+
+class TestSubnormalFlush:
+    """Responsibilities below the smallest normal double are exactly 0."""
+
+    def test_figure1_20db(self):
+        run = load_config(packaged_config("figure1.config"))
+        scaled, _ = calibrate_noise_scale(run.model, 20.0)
+        pre = PrecomputedEstimator(scaled)
+        ys = scaled.x_prior.sample(4096, 41) @ scaled.H.T + scaled.noise.sample(4096, 42)
+        tiny = np.finfo(float).tiny
+
+        alpha = pre.responsibilities(ys).reshape(pre.n_pairs, -1)
+        reference = unflushed_softmax(pre, ys)
+        assert np.count_nonzero((reference > 0) & (reference < tiny)) > 100  # the case occurs
+        assert not np.any((alpha > 0) & (alpha < tiny))
+        kept = reference >= tiny
+        npt.assert_array_equal(alpha[kept], reference[kept])
+        assert not np.any(alpha[~kept])
+
+        _, comp_means = pre._posterior_terms(ys)
+        npt.assert_array_equal(pre.estimate(ys), np.einsum("pn,pdn->nd", reference, comp_means))
 
 
 class TestMmseEstimate:

@@ -44,7 +44,8 @@ def single_standard(dim: int = 1) -> GaussianMixture:
 
 def masked_sample(mixture: GaussianMixture, count: int, seed: int) -> np.ndarray:
     """The sampler's former component loop, selecting rows by boolean masks:
-    the bit-exact reference for the index-array loop."""
+    the bit-exact reference for the index-array loop and, as it makes the
+    categorical pick for one component too, for the one-component skip."""
     rng = np.random.Generator(np.random.Philox(seed))
     out = np.empty((count, mixture.dim))
     idx = rng.choice(len(mixture), size=count, p=mixture.weights)
@@ -329,6 +330,12 @@ class TestSampling:
         for i in range(40):
             mix = random_mixture(rng, int(rng.integers(1, 6)), 1 + i % 5, zero_weight=i % 2 == 1)
             count, seed = int(rng.integers(1, 3000)), int(rng.integers(2**32))
+            npt.assert_array_equal(mix.sample(count, seed), masked_sample(mix, count, seed))
+
+    @pytest.mark.parametrize("seed", [0, 2024, 2**63 + 12345])
+    def test_one_component_skip_keeps_the_stream(self, seed):
+        mix = random_mixture(np.random.default_rng(seed % 997), 3, 1)
+        for count in (0, 1, 2, 3, 7, 4097, 50_000):
             npt.assert_array_equal(mix.sample(count, seed), masked_sample(mix, count, seed))
 
     def test_negative_count_rejected(self):

@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo harness: seeding, MSE estimation, sweeps."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,88 @@ def scalar_wiener_model() -> BayesianLinearModel:
 
 def oracle_model():
     return load_config(packaged_config("oracle1d.config")).model
+
+
+def fsum_mean_stderr(errors: np.ndarray) -> tuple[float, float]:
+    """The former reduction, ``math.fsum`` over Python lists: the bit-exact
+    reference for the bucketed exact sum."""
+    n = errors.size
+    mean = math.fsum(errors.tolist()) / n
+    dev = errors - mean
+    var = math.fsum((dev * dev).tolist()) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
+def reduction_bits(reduce, values: np.ndarray):
+    """The bytes of each float ``reduce(values)`` returns, or the type of the
+    exception it raised; so two reductions compare bit for bit, signed zeros
+    and NaNs included."""
+    try:
+        result = reduce(values)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+    return [np.float64(v).tobytes() for v in np.atleast_1d(result)]
+
+
+def assert_reduces_like_fsum(values: np.ndarray) -> None:
+    with np.errstate(all="ignore"):  # non-finite and overflowing inputs
+        assert reduction_bits(mc._exact_sum, values) == reduction_bits(math.fsum, values)
+        assert reduction_bits(mc._mean_stderr, values) == reduction_bits(fsum_mean_stderr, values)
+
+
+def wide_terms(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Terms of both signs spanning 10**-40 to 10**40, about a tenth of them zero."""
+    values = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-40.0, 40.0, size)
+    values[rng.random(size) < 0.1] = 0.0
+    return values
+
+
+class TestExactSum:
+    """``_mean_stderr``'s bucketed exact sum against ``math.fsum``."""
+
+    def test_wide_seeded_arrays(self):
+        rng = np.random.default_rng(31)
+        for size in (1, 2, 3, 5, 64, 1000, 4097, 16385, 60_000):
+            for _ in range(4):
+                values = wide_terms(rng, size)
+                assert_reduces_like_fsum(values)
+                assert_reduces_like_fsum(np.abs(values))  # all one sign, as squared errors
+
+    def test_cancelling_terms(self):
+        rng = np.random.default_rng(32)
+        values = wide_terms(rng, 5000)
+        assert_reduces_like_fsum(np.concatenate([values, -values[::-1], [1e-30]]))
+
+    @pytest.mark.parametrize("values", [[0.0] * 1000, [-0.0, 0.0, -0.0], [3.5], [-0.0], [2.0**-1022]])
+    def test_zeros_and_single_terms(self, values):
+        assert_reduces_like_fsum(np.array(values))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [5e-324, 1.0, -3e-310, 2.5e-320],  # subnormal
+            [1e-310] * 3000,
+            [math.inf, 1.0],
+            [1.0, -math.inf, 2.0],
+            [math.inf, -math.inf],
+            [math.nan, 1.0],
+            [2.0**960, -(2.0**960), 1.0],  # at the fallback threshold
+            [1e308, 1e308, -1e308],  # intermediate overflow in fsum
+            [float.fromhex("0x1.fffffffffffffp959")] * 2**10,  # just below the threshold
+            [float.fromhex("0x1.fffffffffffffp0")] * 60_000,  # every significand bit set
+        ],
+    )
+    def test_special_terms(self, values):
+        assert_reduces_like_fsum(np.array(values))
+
+    def test_chunk_boundary(self, monkeypatch):
+        monkeypatch.setattr(mc, "_EXACT_CHUNK", 8)
+        rng = np.random.default_rng(33)
+        for size in (7, 8, 9, 16, 17, 1000):
+            assert_reduces_like_fsum(wide_terms(rng, size))
+        late_inf = wide_terms(rng, 20)
+        late_inf[-1] = math.inf  # in the third chunk
+        assert_reduces_like_fsum(late_inf)
 
 
 class TestDeriveSeed:

@@ -91,6 +91,15 @@ class TestQuadratureSpec:
         with pytest.raises(ValidationError, match="1001"):
             QuadratureSpec(grid_points=999)
 
+    @pytest.mark.parametrize("points", [1001.0, 2001.5, "2001", True])
+    def test_non_integer_grid_rejected(self, points):
+        # formerly accepted (floats) or a raw TypeError from the comparison
+        with pytest.raises(ValidationError, match=f"grid_points {points!r} is not an integer"):
+            QuadratureSpec(grid_points=points)
+
+    def test_numpy_integer_stored_as_int(self):
+        assert type(QuadratureSpec(grid_points=np.int64(1001)).grid_points) is int
+
 
 class TestQuadPosteriorMean:
     def test_single_gaussian_matches_wiener(self):
