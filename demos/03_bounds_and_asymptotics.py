@@ -36,9 +36,9 @@ model = BayesianLinearModel(np.eye(2), x_prior, noise)
 print(f"prior SNR = {snr_db(model):.2f} dB")
 
 # The genie lower bound reads the precomputed estimator, the LMMSE upper
-# bound the model; lower <= upper <= tr C_x always holds.
+# bound the LMMSE estimator; lower <= upper <= tr C_x always holds.
 lower = genie_lower_bound(PrecomputedEstimator(model))
-upper = lmmse_upper_bound(model)
+upper = lmmse_upper_bound(LmmseEstimator(model))
 print(f"bounds: lower = {lower:.6f}, upper = {upper:.6f}, "
       f"tr C_x = {np.trace(model.x_prior.covariance()):.6f}")
 
@@ -48,7 +48,7 @@ print(f"\n{'snr_db':>8} {'genie lower':>12} {'lmmse upper':>12} {'gap':>10}")
 for target_db in (-20, -10, 0, 10, 20, 40):
     scaled, _ = calibrate_noise_scale(model, target_db)
     lower = genie_lower_bound(PrecomputedEstimator(scaled))
-    upper = lmmse_upper_bound(scaled)
+    upper = lmmse_upper_bound(LmmseEstimator(scaled))
     print(f"{target_db:8.1f} {lower:12.6f} {upper:12.6f} {upper - lower:10.2e}")
 
 # High SNR: the observation pins x down, and the estimate approaches

@@ -16,7 +16,7 @@ sum of per-component Wiener estimates. This package provides
 * the estimators (:mod:`gmbayes.estimators`): precomputed MMSE estimator,
   full mixture posterior, LMMSE baseline;
 * analytic MSE bounds (:mod:`gmbayes.bounds`): ``genie_lower_bound`` of a
-  precomputed estimator and ``lmmse_upper_bound`` of a model;
+  precomputed estimator and ``lmmse_upper_bound`` of an LMMSE estimator;
 * a Monte Carlo SNR sweep harness (:mod:`gmbayes.montecarlo`) with
   deterministic seeding and CSV/SVG output (:mod:`gmbayes.sweepio`,
   :mod:`gmbayes.svg`);

@@ -10,9 +10,10 @@ The estimator's Bayesian MSE has no closed form, but it is sandwiched:
   mixture first and second moments, and which never exceeds the prior
   trace ``tr C_x``.
 
-The lower bound reads a :class:`PrecomputedEstimator`, which a sweep point
-has already built, and the upper bound a model. Both are on the linear
-scale; any dB conversion happens at presentation time.
+Each bound reads an estimator that a sweep point has already built: the
+lower bound a :class:`PrecomputedEstimator`, the upper bound an
+:class:`LmmseEstimator`. Both are on the linear scale; any dB conversion
+happens at presentation time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from .estimators import LmmseEstimator, PrecomputedEstimator
-from .model import BayesianLinearModel
 
 __all__ = [
     "genie_lower_bound",
@@ -39,7 +39,7 @@ def genie_lower_bound(pre: PrecomputedEstimator) -> float:
     return float(pre.obs.weights @ traces)
 
 
-def lmmse_upper_bound(model: BayesianLinearModel) -> float:
+def lmmse_upper_bound(lmmse: LmmseEstimator) -> float:
     """Exact MSE of the LMMSE estimator, an upper bound for the MMSE error."""
-    return LmmseEstimator(model).mse
+    return lmmse.mse
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bounds import genie_lower_bound, lmmse_upper_bound
 from .config import ConfigError, load_config, packaged_config
-from .estimators import PrecomputedEstimator
+from .estimators import LmmseEstimator, PrecomputedEstimator
 from .mixture import ValidationError
 from .model import snr, snr_db
 from .montecarlo import run_sweep
@@ -130,7 +130,7 @@ def cmd_oracle_check(args) -> int:
     deviation = float(np.max(np.abs(analytic - reference)))
     mse = quad_mse(model, spec)
     lower = genie_lower_bound(pre)
-    upper = lmmse_upper_bound(model)
+    upper = lmmse_upper_bound(LmmseEstimator(model))
     print(f"oracle check on {y_values.size} observation values")
     print(f"max |analytic - quadrature posterior mean| = {deviation:.6g}")
     print(f"quad_mse = {mse:.12g}; genie lower = {lower:.12g}; lmmse upper = {upper:.12g}")

@@ -34,7 +34,7 @@ import numpy as np
 
 from .mixture import GaussianMixture, ValidationError
 from .model import BayesianLinearModel
-from .montecarlo import ESTIMATOR_NAMES, SweepConfig, _estimator_name, _sweep_integer
+from .montecarlo import SweepConfig, _estimator_name, _sweep_integer
 
 __all__ = [
     "ConfigError",
@@ -170,26 +170,23 @@ def _sweep(value, path: str, model: BayesianLinearModel) -> SweepConfig:
         path,
         ("snr_db_start", "snr_db_stop", "snr_db_step", "trials", "seed", "estimators"),
     )
-    counts = {}
+    options = {}
     for name in ("trials", "seed"):
         try:
-            counts[name] = _sweep_integer(name, _require(section, name, path))
+            options[name] = _sweep_integer(name, _require(section, name, path))
         except ValidationError as exc:
             raise ConfigError(f"{path}.{name}", str(exc)) from exc
-    raw_estimators = section.get("estimators", list(ESTIMATOR_NAMES))
-    if not isinstance(raw_estimators, list):
-        raise ConfigError(f"{path}.estimators", "expected a list of estimator names")
-    for i, name in enumerate(raw_estimators):
-        try:
-            _estimator_name(name)
-        except ValidationError as exc:
-            raise ConfigError(f"{path}.estimators[{i}]", str(exc)) from exc
-    return SweepConfig(
-        model=model,
-        snr_db_grid=_grid(section, path),
-        estimators=tuple(raw_estimators),
-        **counts,
-    )
+    if "estimators" in section:
+        raw_estimators = section["estimators"]
+        if not isinstance(raw_estimators, list):
+            raise ConfigError(f"{path}.estimators", "expected a list of estimator names")
+        for i, name in enumerate(raw_estimators):
+            try:
+                _estimator_name(name)
+            except ValidationError as exc:
+                raise ConfigError(f"{path}.estimators[{i}]", str(exc)) from exc
+        options["estimators"] = tuple(raw_estimators)
+    return SweepConfig(model=model, snr_db_grid=_grid(section, path), **options)
 
 
 def parse_config(text: str) -> RunConfig:

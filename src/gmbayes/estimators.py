@@ -116,10 +116,16 @@ class PrecomputedEstimator:
 
         Overwrites ``log_pdfs``: adds the log weights, subtracts their
         log-sum-exp, sets values below ``log(tiny)`` to ``-inf``,
-        exponentiates, and divides by the sum.
+        exponentiates, and divides by the sum. An observation with zero
+        density under every pair (log-sum-exp ``-inf``) has no
+        responsibilities and raises :class:`ValidationError`.
         """
         log_pdfs += self.obs.log_weights[:, None]
-        log_pdfs -= _log_sum_exp(log_pdfs)
+        total = _log_sum_exp(log_pdfs)
+        if total.min() == -np.inf:
+            row = int(np.argmin(total))
+            raise ValidationError(f"observation {row} has zero density under every component pair")
+        log_pdfs -= total
         np.putmask(log_pdfs, log_pdfs < _LOG_TINY, -np.inf)
         alpha = np.exp(log_pdfs, out=log_pdfs)
         alpha /= np.sum(alpha, axis=0, keepdims=True)
@@ -156,7 +162,8 @@ class PrecomputedEstimator:
 
         Accepts shape ``(m,)`` returning ``(d,)``, or ``(n, m)`` returning
         ``(n, d)``; a scalar counts as one observation of a model with
-        ``m = 1``. Non-finite observations raise :class:`ValidationError`.
+        ``m = 1``. Non-finite observations, and observations with zero
+        density under every pair, raise :class:`ValidationError`.
         """
         batch, single = _as_batch(y, self.model.observation_dim, "observation")
         alpha, comp_means = self._posterior_terms(batch)

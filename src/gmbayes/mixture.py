@@ -261,8 +261,6 @@ class GaussianMixture:
         out = np.empty((count, self.dim))
         for k in range(len(self)):
             rows = np.flatnonzero(idx == k)
-            if rows.size == count:  # one component holds every row
-                return self.means[k] + z @ self.chols[k].T
             if rows.size:
                 out[rows] = self.means[k] + z[rows] @ self.chols[k].T
         return out

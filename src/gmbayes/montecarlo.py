@@ -1,9 +1,10 @@
 """Empirical MSE estimation and the SNR sweep harness.
 
-Each sweep point calibrates the scalar noise scale to the requested SNR,
-precomputes the estimator, evaluates the analytic bounds, and estimates the
-empirical MSE of the requested estimators by averaging squared errors over
-freshly drawn (signal, noise) pairs.
+Each sweep point calibrates the scalar noise scale to the requested SNR and
+builds its MMSE and LMMSE estimators once. The empirical MSE of each
+requested estimator averages its squared errors over freshly drawn (signal,
+noise) pairs, and the analytic bounds read the same two estimators: the
+genie lower bound the MMSE one, the LMMSE upper bound the LMMSE one.
 
 Reproducibility contract:
 
@@ -141,12 +142,6 @@ def _mean_stderr(errors: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def _predictor(model: BayesianLinearModel, pre: PrecomputedEstimator | None, name: str):
-    if name == "mmse":
-        return (pre or PrecomputedEstimator(model)).estimate
-    return LmmseEstimator(model).estimate
-
-
 def estimate_mse(
     model: BayesianLinearModel,
     trials: int,
@@ -162,9 +157,10 @@ def estimate_mse(
     """
     trials = _sweep_integer("trials", trials)
     seed = _sweep_integer("seed", seed)
-    predict = _predictor(model, None, _estimator_name(estimator))
+    mmse = _estimator_name(estimator) == "mmse"
+    arm = PrecomputedEstimator(model) if mmse else LmmseEstimator(model)
     x, y = _draw_observations(model, trials, seed)
-    return _mean_stderr(_squared_errors(x, y, predict))
+    return _mean_stderr(_squared_errors(x, y, arm.estimate))
 
 
 @dataclass(frozen=True)
@@ -212,26 +208,23 @@ class SweepPoint:
 
 def _run_point(config: SweepConfig, index: int) -> SweepPoint:
     snr_db = config.snr_db_grid[index]
+    scale = math.nan
     try:
         scaled, scale = calibrate_noise_scale(config.model, snr_db)
-    except ValidationError as exc:
-        return SweepPoint(snr_db=snr_db, noise_scale=math.nan, error=str(exc))
-    try:
-        pre = PrecomputedEstimator(scaled)
+        arms = {"mmse": PrecomputedEstimator(scaled), "lmmse": LmmseEstimator(scaled)}
         values: dict[str, tuple[float, float]] = {}
         if config.estimators:
             seed_point = derive_seed(config.seed, "point", index)
             x, y = _draw_observations(scaled, config.trials, seed_point)
             for name in config.estimators:
-                predict = _predictor(scaled, pre, name)
-                values[name] = _mean_stderr(_squared_errors(x, y, predict))
+                values[name] = _mean_stderr(_squared_errors(x, y, arms[name].estimate))
         mmse = values.get("mmse", (None, None))
         lmmse = values.get("lmmse", (None, None))
         return SweepPoint(
             snr_db=snr_db,
             noise_scale=scale,
-            lower=genie_lower_bound(pre),
-            upper=lmmse_upper_bound(scaled),
+            lower=genie_lower_bound(arms["mmse"]),
+            upper=lmmse_upper_bound(arms["lmmse"]),
             mse_mmse=mmse[0],
             stderr_mmse=mmse[1],
             mse_lmmse=lmmse[0],

@@ -32,10 +32,6 @@ __all__ = [
     "read_sweep_csv",
 ]
 
-SWEEP_CSV_HEADER = (
-    "snr_db,noise_scale,mse_mmse_db,stderr_mmse,mse_lmmse_db,stderr_lmmse,lower_db,upper_db"
-)
-
 
 def to_db(value: float | None) -> float | None:
     """Linear power value to dB (unit reference); ``None`` passes through."""
@@ -58,6 +54,9 @@ class CsvRow:
     stderr_lmmse: float | None = None
     lower_db: float | None = None
     upper_db: float | None = None
+
+
+SWEEP_CSV_HEADER = ",".join(f.name for f in fields(CsvRow))
 
 
 def _row_from_point(point: SweepPoint) -> CsvRow:

@@ -101,7 +101,7 @@ def test_criterion_1_gaussian_collapse(capsys):
             xhat, lhat = pre.estimate(ys), lin.estimate(ys)
             rel = np.linalg.norm(xhat - lhat, axis=1) / (1.0 + np.linalg.norm(xhat, axis=1))
             worst_est = max(worst_est, float(np.max(rel)))
-            lower, upper = genie_lower_bound(pre), lmmse_upper_bound(model)
+            lower, upper = genie_lower_bound(pre), lmmse_upper_bound(LmmseEstimator(model))
             worst_bound = max(worst_bound, abs(lower - upper) / (1.0 + upper))
         assert worst_est <= 1e-10
         assert worst_bound <= 1e-10
@@ -130,7 +130,7 @@ def test_criterion_2_oracle_equivalence(capsys):
             reference = quad_posterior_mean(model, ys, spec)
             worst_dev = max(worst_dev, float(np.max(np.abs(analytic - reference))))
             mse = quad_mse(model, spec)
-            lower, upper = genie_lower_bound(pre), lmmse_upper_bound(model)
+            lower, upper = genie_lower_bound(pre), lmmse_upper_bound(LmmseEstimator(model))
             if not (lower - 1e-8 * (1 + lower) <= mse <= upper + 1e-8 * (1 + upper)):
                 escaped += 1
         assert worst_dev <= 1e-6

@@ -7,6 +7,7 @@ import pytest
 from gmbayes import (
     BayesianLinearModel,
     GaussianMixture,
+    LmmseEstimator,
     PrecomputedEstimator,
     genie_lower_bound,
     lmmse_upper_bound,
@@ -43,7 +44,7 @@ class TestGenieLowerBound:
         for _ in range(20):
             model = random_model(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), 1, 1)
             lower = genie_lower_bound(PrecomputedEstimator(model))
-            upper = lmmse_upper_bound(model)
+            upper = lmmse_upper_bound(LmmseEstimator(model))
             assert abs(lower - upper) <= 1e-10 * (1.0 + upper)
 
     def test_vanishing_noise_drives_bound_to_zero(self):
@@ -65,13 +66,14 @@ class TestGenieLowerBound:
 
 class TestLmmseUpperBound:
     def test_scalar_wiener(self):
-        assert lmmse_upper_bound(scalar_wiener_model()) == pytest.approx(0.5, rel=1e-14)
+        upper = lmmse_upper_bound(LmmseEstimator(scalar_wiener_model()))
+        assert upper == pytest.approx(0.5, rel=1e-14)
 
     def test_huge_noise_approaches_prior_trace(self):
         rng = np.random.default_rng(4)
         model = random_model(rng, 3, 3, 3, 2)
         trace = float(np.trace(model.x_prior.covariance()))
-        upper = lmmse_upper_bound(scale_noise(model, 1e6))
+        upper = lmmse_upper_bound(LmmseEstimator(scale_noise(model, 1e6)))
         assert upper == pytest.approx(trace, rel=1e-6)
         assert upper <= trace * (1 + 1e-12)
 
@@ -80,7 +82,7 @@ class TestLmmseUpperBound:
         for _ in range(50):
             model = random_model(rng, 3, 2, 3, 2)
             trace = float(np.trace(model.x_prior.covariance()))
-            assert lmmse_upper_bound(model) <= trace * (1 + 1e-12)
+            assert lmmse_upper_bound(LmmseEstimator(model)) <= trace * (1 + 1e-12)
 
 
 class TestLooseUpperBound:
@@ -90,7 +92,7 @@ class TestLooseUpperBound:
     @staticmethod
     def assert_sandwich(model):
         lower = genie_lower_bound(PrecomputedEstimator(model))
-        upper = lmmse_upper_bound(model)
+        upper = lmmse_upper_bound(LmmseEstimator(model))
         trace = float(np.trace(model.x_prior.covariance()))
         slack = 1e-10 * (1.0 + trace)
         assert 0.0 <= lower <= upper + slack
@@ -101,7 +103,7 @@ class TestLooseUpperBound:
         # scalar Wiener: the bounds meet at 1/2 below a unit prior trace
         model = scalar_wiener_model()
         assert self.assert_sandwich(model) == pytest.approx(1.0, rel=1e-14)
-        assert lmmse_upper_bound(model) == pytest.approx(0.5, rel=1e-14)
+        assert lmmse_upper_bound(LmmseEstimator(model)) == pytest.approx(0.5, rel=1e-14)
 
     def test_moment_identity(self):
         # nonzero means: the cap is the centred moment, E||x||^2 - ||E x||^2
@@ -125,7 +127,7 @@ class TestOrderingAndMonotonicity:
             m = int(rng.integers(1, 5))
             model = random_model(rng, d, m, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
             lower = genie_lower_bound(PrecomputedEstimator(model))
-            upper = lmmse_upper_bound(model)
+            upper = lmmse_upper_bound(LmmseEstimator(model))
             trace = float(np.trace(model.x_prior.covariance()))
             scale = 1.0 + trace
             assert lower <= upper + 1e-10 * scale
@@ -137,7 +139,7 @@ class TestOrderingAndMonotonicity:
             model = random_model(rng, 2, 2, 2, 2)
             scales = np.logspace(-3, 3, 13)
             lowers = [genie_lower_bound(PrecomputedEstimator(scale_noise(model, a))) for a in scales]
-            uppers = [lmmse_upper_bound(scale_noise(model, a)) for a in scales]
+            uppers = [lmmse_upper_bound(LmmseEstimator(scale_noise(model, a))) for a in scales]
             for seq in (lowers, uppers):
                 diffs = np.diff(seq)
                 assert np.all(diffs >= -1e-12 * np.abs(seq[:-1]))
@@ -149,7 +151,7 @@ class TestBoundsReport:
         for _ in range(25):
             model = random_model(rng, 3, 2, 3, 2)
             lower = genie_lower_bound(PrecomputedEstimator(model))
-            upper = lmmse_upper_bound(model)
+            upper = lmmse_upper_bound(LmmseEstimator(model))
             trace = float(np.trace(model.x_prior.covariance()))
             slack = 1e-10 * (1.0 + trace)
             assert 0.0 <= lower <= upper + slack

@@ -124,6 +124,17 @@ class TestEstimate:
         assert main(["estimate", "--config", config, "--y", " "]) == 1
         assert "empty observation vector" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, y", [
+        ("figure1.config", "1e200,1e200,1e200,1e200,1e200"),
+        ("oracle1d.config", "1e170"),
+    ])
+    def test_zero_density_y_exit_1(self, config, y, capsys):
+        assert main(["estimate", "--config", config, "--y", y]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "zero density under every component pair" in captured.err
+        assert "nan" not in (captured.out + captured.err).lower()
+
     def test_non_finite_y_exit_1(self, capsys):
         assert main(["estimate", "--config", "oracle1d.config", "--y", "nan"]) == 1
         err = capsys.readouterr().err

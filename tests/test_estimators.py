@@ -210,6 +210,22 @@ class TestResponsibilities:
             assert abs(alpha.sum() - 1.0) <= 1e-12
             assert np.all(alpha >= 0)
 
+    def test_zero_density_under_every_pair_rejected(self):
+        # every pair's whitened squared distance overflows to inf, so the
+        # log-sum-exp is -inf and no responsibility exists: an error, not NaN
+        pre = PrecomputedEstimator(load_config(packaged_config("figure1.config")).model)
+        far = np.full(5, 1e200)
+        for call in (pre.estimate, pre.responsibilities, pre.posterior):
+            with pytest.raises(ValidationError, match="zero density under every component pair"):
+                call(far)
+        batch = np.zeros((3, 5))
+        batch[2] = far
+        with pytest.raises(ValidationError, match="observation 2 "):
+            pre.estimate(batch)
+        # far out but representable: the nearest pair takes all the weight
+        alpha = PrecomputedEstimator(two_component_1d_model()).responsibilities(1e150)
+        assert alpha.sum() == 1.0 and np.all(np.isfinite(alpha))
+
     def test_batch_matches_single(self):
         # batched whitening products may round differently from one-row
         # ones, so agreement is to a few ulp, not bit for bit

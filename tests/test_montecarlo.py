@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: seeding, MSE estimation, sweeps."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import gmbayes.montecarlo as mc
 from gmbayes import (
     BayesianLinearModel,
     GaussianMixture,
+    LmmseEstimator,
     PrecomputedEstimator,
     SweepConfig,
     ValidationError,
@@ -143,13 +145,13 @@ class TestEstimateMse:
     def test_lmmse_matches_analytic_value(self):
         model = oracle_model()
         mse, stderr = estimate_mse(model, 100_000, seed=6, estimator="lmmse")
-        assert abs(mse - lmmse_upper_bound(model)) < 5 * stderr
+        assert abs(mse - lmmse_upper_bound(LmmseEstimator(model))) < 5 * stderr
 
     def test_mmse_between_bounds(self):
         model = oracle_model()
         mse, stderr = estimate_mse(model, 100_000, seed=7)
         assert genie_lower_bound(PrecomputedEstimator(model)) - 3 * stderr <= mse
-        assert mse <= lmmse_upper_bound(model) + 3 * stderr
+        assert mse <= lmmse_upper_bound(LmmseEstimator(model)) + 3 * stderr
 
     def test_deterministic(self):
         model = oracle_model()
@@ -297,6 +299,32 @@ class TestRunSweep:
         assert points[0].mse_mmse is None and points[0].lower is None
         assert np.isfinite(points[0].noise_scale)
         assert points[1].error is None and points[1].mse_mmse is not None
+
+    def test_one_estimator_pair_per_point(self, monkeypatch):
+        # both Monte Carlo arms and both bounds read the MMSE and LMMSE
+        # estimators that the point builds once
+        counts = Counter()
+
+        def spy(owner, name, label):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[label] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(PrecomputedEstimator, "__init__", "mmse")
+        spy(LmmseEstimator, "__init__", "lmmse")
+        spy(mc, "genie_lower_bound", "lower")
+        spy(mc, "lmmse_upper_bound", "upper")
+        config = SweepConfig(oracle_model(), (-10.0, 0.0, 10.0, 20.0, 30.0), trials=100, seed=12)
+        assert all(point.error is None for point in run_sweep(config))
+        assert counts == {"mmse": 5, "lmmse": 5, "lower": 5, "upper": 5}
+        # estimate_mse builds only the estimator it is asked for
+        counts.clear()
+        estimate_mse(oracle_model(), 100, 12, estimator="lmmse")
+        assert counts == {"lmmse": 1}
 
     def test_unusable_snr_target_recorded(self):
         config = SweepConfig(oracle_model(), (0.0, -20000.0), trials=10, seed=6)

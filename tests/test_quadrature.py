@@ -6,6 +6,7 @@ import pytest
 from gmbayes import (
     BayesianLinearModel,
     GaussianMixture,
+    LmmseEstimator,
     PrecomputedEstimator,
     QuadratureSpec,
     ValidationError,
@@ -153,7 +154,7 @@ class TestQuadMse:
         run = load_config(packaged_config("oracle1d.config"))
         pre = PrecomputedEstimator(run.model)
         value = quad_mse(run.model, SPEC)
-        assert genie_lower_bound(pre) - 1e-8 <= value <= lmmse_upper_bound(run.model) + 1e-8
+        assert genie_lower_bound(pre) - 1e-8 <= value <= lmmse_upper_bound(LmmseEstimator(run.model)) + 1e-8
 
     @pytest.mark.parametrize("h", [1.0, 2.5, -3.0, 0.0, 1e-6, -1e-6])
     def test_matches_brute_force(self, h):
