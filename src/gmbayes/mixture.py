@@ -197,7 +197,10 @@ class GaussianMixture:
 
     def _deviations(self, points: np.ndarray) -> np.ndarray:
         """The ``(K, d, n)`` block of deviations ``x - u_k`` of a ``(n, d)`` batch."""
-        return np.asarray(points, dtype=float).T[None, :, :] - self.means[:, :, None]
+        # Transposed to a contiguous copy first: the subtraction then reads
+        # unit-stride rows, which is faster than reading the strided view.
+        points = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+        return points[None, :, :] - self.means[:, :, None]
 
     def _whitened_log_pdfs(self, dev: np.ndarray) -> np.ndarray:
         """Per-component log-densities, shape ``(K, n)``, from a :meth:`_deviations` block."""
@@ -255,14 +258,23 @@ class GaussianMixture:
             return np.empty((0, self.dim))
         if len(self) == 1:
             rng.bit_generator.random_raw(count, output=False)  # the pick's uniforms
-            return self.means[0] + rng.standard_normal((count, self.dim)) @ self.chols[0].T
+            return self._component_draws(0, rng.standard_normal((count, self.dim)))
         idx = rng.choice(len(self), size=count, p=self.weights)
         z = rng.standard_normal((count, self.dim))
         out = np.empty((count, self.dim))
         for k in range(len(self)):
             rows = np.flatnonzero(idx == k)
             if rows.size:
-                out[rows] = self.means[k] + z[rows] @ self.chols[k].T
+                out[rows] = self._component_draws(k, z[rows])
+        return out
+
+    def _component_draws(self, k: int, z: np.ndarray) -> np.ndarray:
+        """``means[k] + z @ chols[k].T`` for ``(n, d)`` standard normals, formed
+        as the transposed product ``(L_k z^T)^T`` plus an in-place shift, which
+        is faster for long ``n``; the result is Fortran-ordered. Tests check
+        that it equals the direct expression bit for bit."""
+        out = (self.chols[k] @ z.T).T
+        out += self.means[k]
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

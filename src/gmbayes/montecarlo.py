@@ -13,10 +13,13 @@ Reproducibility contract:
   another and of execution order.
 * Within a point, the same draws are reused for every estimator (paired
   sampling; the MMSE/LMMSE comparison then has no sampling noise between
-  arms).
+  arms). The signal and the noise are drawn once; the point then runs in
+  blocks of ``_BATCH`` (4096) rows, each forming its observations, running
+  every estimator and squaring their errors while its arrays are in cache.
+  The results do not depend on the block size.
 * Squared errors are reduced by an exact sum: the correctly rounded value of
   the exact real sum, equal to ``math.fsum`` bit for bit. Bucketing the terms
-  by binary exponent makes it independent of term order and batch size, so
+  by binary exponent makes it independent of term order and block size, so
   worker count never changes the result: parallel and serial sweeps agree
   bit for bit.
 """
@@ -46,7 +49,7 @@ __all__ = [
 
 ESTIMATOR_NAMES = ("mmse", "lmmse")
 
-_BATCH = 16384
+_BATCH = 4096
 
 # _exact_sum splits each term into a high half (sign, exponent and the top
 # 27 significand bits) and a low half (the other 26 bits). Per binary
@@ -76,19 +79,26 @@ def derive_seed(seed: int, *parts) -> int:
     return int.from_bytes(h.digest()[:8], "little")
 
 
-def _draw_observations(model: BayesianLinearModel, trials: int, seed: int):
-    """Paired draws: signal matrix ``(trials, d)`` and observations ``(trials, m)``."""
+def _squared_errors(model: BayesianLinearModel, trials: int, seed: int, arms) -> list[np.ndarray]:
+    """Squared errors ``|x - xhat(y)|^2``, shape ``(trials,)``, of each estimator
+    in ``arms`` over the same ``trials`` paired draws.
+
+    The signal and the noise are drawn once, at full length. Each block of
+    ``_BATCH`` rows then forms its observations ``y = x H^T + n`` and runs
+    every arm on them, so a block's arrays stay in cache and no full-length
+    ``y`` is built.
+    """
     x = model.x_prior.sample(trials, derive_seed(seed, "x"))
     noise = model.noise.sample(trials, derive_seed(seed, "noise"))
-    return x, x @ model.H.T + noise
-
-
-def _squared_errors(x: np.ndarray, y: np.ndarray, predict) -> np.ndarray:
-    errors = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], _BATCH):
-        rows = slice(start, min(start + _BATCH, x.shape[0]))
-        dev = x[rows] - predict(y[rows])
-        errors[rows] = np.einsum("ij,ij->i", dev, dev)
+    errors = [np.empty(trials) for _ in arms]
+    for start in range(0, trials, _BATCH):
+        rows = slice(start, start + _BATCH)
+        x_rows = x[rows]
+        y = x_rows @ model.H.T
+        y += noise[rows]
+        for arm, err in zip(arms, errors):
+            dev = x_rows - arm.estimate(y)
+            np.einsum("ij,ij->i", dev, dev, out=err[rows])
     return errors
 
 
@@ -159,8 +169,7 @@ def estimate_mse(
     seed = _sweep_integer("seed", seed)
     mmse = _estimator_name(estimator) == "mmse"
     arm = PrecomputedEstimator(model) if mmse else LmmseEstimator(model)
-    x, y = _draw_observations(model, trials, seed)
-    return _mean_stderr(_squared_errors(x, y, arm.estimate))
+    return _mean_stderr(_squared_errors(model, trials, seed, [arm])[0])
 
 
 @dataclass(frozen=True)
@@ -215,9 +224,9 @@ def _run_point(config: SweepConfig, index: int) -> SweepPoint:
         values: dict[str, tuple[float, float]] = {}
         if config.estimators:
             seed_point = derive_seed(config.seed, "point", index)
-            x, y = _draw_observations(scaled, config.trials, seed_point)
-            for name in config.estimators:
-                values[name] = _mean_stderr(_squared_errors(x, y, arms[name].estimate))
+            chosen = [arms[name] for name in config.estimators]
+            errors = _squared_errors(scaled, config.trials, seed_point, chosen)
+            values = dict(zip(config.estimators, map(_mean_stderr, errors)))
         mmse = values.get("mmse", (None, None))
         lmmse = values.get("lmmse", (None, None))
         return SweepPoint(

@@ -338,6 +338,18 @@ class TestSampling:
         for count in (0, 1, 2, 3, 7, 4097, 50_000):
             npt.assert_array_equal(mix.sample(count, seed), masked_sample(mix, count, seed))
 
+    @pytest.mark.parametrize("components", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_transposed_product_matches_reference(self, dim, components):
+        # Each component's draws are formed as (L z^T)^T + mean; full random
+        # covariances (an identity factor would hide any rounding change)
+        # against the reference mean + z @ L^T, bit for bit.
+        rng = np.random.default_rng(100 * dim + components)
+        mix = random_mixture(rng, dim, components, zero_weight=True)
+        for count in (0, 1, 4097, 50_000):
+            seed = int(rng.integers(2**63))
+            npt.assert_array_equal(mix.sample(count, seed), masked_sample(mix, count, seed))
+
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError, match="negative"):
             single_standard().sample(-1, seed=0)

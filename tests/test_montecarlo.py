@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo harness: seeding, MSE estimation, sweeps."""
 
+import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -325,6 +327,34 @@ class TestRunSweep:
         counts.clear()
         estimate_mse(oracle_model(), 100, 12, estimator="lmmse")
         assert counts == {"lmmse": 1}
+
+    @pytest.mark.parametrize("batch", [1000, 4097, 50_000])
+    def test_block_size_does_not_change_results(self, monkeypatch, batch):
+        # A point runs its trials in blocks of _BATCH rows; every result is
+        # bit-identical to the one at the default 4096. The oracle1d sweep
+        # gets 10,000 trials so that each block size splits it differently.
+        figure1 = load_config(packaged_config("figure1.config")).sweep_config()
+        configs = [
+            dataclasses.replace(figure1, snr_db_grid=(-10.0, 20.0, 50.0)),
+            load_config(packaged_config("oracle1d.config")).sweep_config(trials=10_000),
+        ]
+        assert mc._BATCH == 4096
+        expected = [run_sweep(config) for config in configs]
+        monkeypatch.setattr(mc, "_BATCH", batch)
+        assert [run_sweep(config) for config in configs] == expected
+
+    def test_point_memory_stays_blocked(self):
+        # One figure-1 point (50,000 trials) peaks at about 6.6 MB; building a
+        # full-length y or (pairs, m, trials) block again would exceed 8 MB.
+        config = load_config(packaged_config("figure1.config")).sweep_config()
+        mc._run_point(config, 30)  # warm-up: imports and caches are not counted
+        tracemalloc.start()
+        try:
+            mc._run_point(config, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_unusable_snr_target_recorded(self):
         config = SweepConfig(oracle_model(), (0.0, -20000.0), trials=10, seed=6)
