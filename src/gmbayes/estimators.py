@@ -33,7 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .mixture import ValidationError, _as_batch, _frozen, _log_sum_exp, _mixture_covariance
+from .mixture import (
+    ValidationError,
+    _as_batch,
+    _frozen,
+    _log_sum_exp,
+    _mixture_covariance,
+    _stacked_product,
+)
 from .model import BayesianLinearModel, observation_mixture
 
 __all__ = [
@@ -139,7 +146,7 @@ class PrecomputedEstimator:
         """
         dev = self.obs._deviations(batch)
         alpha = self._softmax(self.obs._whitened_log_pdfs(dev))
-        means = self.gains @ dev
+        means = _stacked_product(self.gains, dev)
         means += self.x_means[:, :, None]
         return alpha, means
 

@@ -204,7 +204,7 @@ class GaussianMixture:
 
     def _whitened_log_pdfs(self, dev: np.ndarray) -> np.ndarray:
         """Per-component log-densities, shape ``(K, n)``, from a :meth:`_deviations` block."""
-        z = self._inv_chols @ dev
+        z = _stacked_product(self._inv_chols, dev)
         # log_norms - 0.5 |z|^2, computed in place; the same roundings as the expression.
         out = np.einsum("kin,kin->kn", z, z)
         out *= -0.5
@@ -333,6 +333,15 @@ def _as_batch(values, dim: int, what: str) -> tuple[np.ndarray, bool]:
     if not np.all(np.isfinite(batch)):
         raise ValidationError(f"{what} has non-finite entries")
     return batch, single
+
+
+def _stacked_product(factors: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``factors @ block`` for stacked ``(P, a, b)`` factors and ``(P, b, n)`` blocks.
+
+    A ``1 x 1`` factor is a single multiplication per entry, done by
+    broadcasting: numpy's batched ``matmul`` takes a slow scalar loop there.
+    """
+    return factors * block if factors.shape[-2:] == (1, 1) else factors @ block
 
 
 def _log_sum_exp(logs: np.ndarray) -> np.ndarray:

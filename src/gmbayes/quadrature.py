@@ -16,7 +16,10 @@ against the stacked trapezoid weights.
 :func:`quad_mse` puts its y grid on a lattice whose spacing is an integer
 multiple of ``|H| * dx``. Every residual ``y_i - H x_j`` then lies on one
 1-D lattice, so the noise log-density is evaluated once per lattice node
-instead of once per (y, x) pair.
+instead of once per (y, x) pair. Each row of residuals is then an evenly
+spaced run of lattice nodes, so a block of rows is a strided window onto
+the lattice (``sliding_window_view``), read while adding the log prior;
+no index array is built.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .mixture import GaussianMixture, ValidationError, _integer
 from .model import BayesianLinearModel, observation_mixture
@@ -156,12 +160,15 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
     the observation mixture's ``SPAN_SIGMAS`` support with at most
     ``grid_points`` nodes. Then ``y_i - H x_j = r0 + (s i - sign(H) j) q``,
     so the noise log-density is evaluated once per node of the whole lattice
-    and each block of y rows gathers from a slice of it by index. When the
-    lattice would hold more nodes than one block has entries (``|H|`` so
-    small that ``s`` is large), each block evaluates the noise directly at
-    its residuals instead, so memory stays O(rows x grid) either way. Every
-    block's lattice offsets are the same, so they and the block's log
-    posterior are allocated once and reused.
+    and each block of y rows reads it as a strided window: rows step ``s``
+    nodes, columns one node backwards when ``H > 0`` and forwards when
+    ``H < 0``, and every column of a row is the same node when ``H = 0``.
+    The window is added to the log prior straight into the block's log
+    posterior, which is allocated once and reused. When the lattice would
+    hold more nodes than one block has entries (``|H|`` so small that ``s``
+    is large), each block evaluates the noise directly at its residuals
+    instead, formed from the same node indices by broadcasting, so memory
+    stays O(rows x grid) either way and no index array of that size exists.
     """
     _check_scalar_model(model)
     h = float(model.H[0, 0])
@@ -181,27 +188,32 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
     y_grid = low + y_index * step
     origin = low - h * x_grid[0]  # residual at lattice index 0
     density = np.exp(obs.log_density(y_grid))
-    # Lattice index of residual (i, j) is y_index[i] + column[j], at least
-    # column_low; in a block from y row b it is column_low + stride b + offsets[i - b].
+    # Lattice index of residual (i, j) is y_index[i] + column[j].
     column = -sign * np.arange(size)
     column_low, column_high = int(column.min()), int(column.max())
-    offsets = (stride * np.arange(_CHUNK_ROWS) - column_low)[:, None] + column[None, :]
-    log_w = np.empty(offsets.shape)
     nodes = int(y_index[-1]) + column_high - column_low + 1
-    lattice = (model.noise.log_density(origin + np.arange(column_low, column_low + nodes) * step)
-               if nodes <= log_w.size else None)
+    windows = None
+    if nodes <= _CHUNK_ROWS * size:
+        lattice = model.noise.log_density(origin + np.arange(column_low, column_low + nodes) * step)
+        # Row i of the residuals is lattice[stride i:][:size], reversed when
+        # H > 0; when H = 0 it is the one node lattice[stride i], broadcast
+        # against the prior.
+        windows = sliding_window_view(lattice, size if sign else 1)[::stride, ::-1 if sign > 0 else 1]
+    log_w = np.empty((_CHUNK_ROWS, size))
 
     integrand = np.empty_like(y_grid)
     for start in range(0, y_count, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, y_count))
-        count = rows.stop - start
-        block = log_w[:count]
-        if lattice is not None:
-            np.take(lattice[stride * start:], offsets[:count], out=block)
+        block = log_w[: rows.stop - start]
+        if windows is not None:
+            window = windows[rows]
         else:
-            residual = origin + (column_low + stride * start + offsets[:count].reshape(-1)) * step
-            block[...] = model.noise.log_density(residual).reshape(block.shape)
-        block += log_prior
+            # Integer node indices, each rounded to float once, then the residuals.
+            np.add(y_index[rows, None], column, out=block)
+            block *= step
+            block += origin
+            window = model.noise.log_density(block.reshape(-1)).reshape(block.shape)
+        np.add(window, log_prior, out=block)
         first, second, _ = _posterior_moments(block, moment_weights)
         integrand[rows] = density[rows] * (second - first**2)
     return float(np.trapezoid(integrand, y_grid))

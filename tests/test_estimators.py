@@ -355,6 +355,18 @@ class TestGainProduct:
             npt.assert_array_equal(pre.estimate(ys), einsum_estimate(pre, ys))
             npt.assert_array_equal(pre.estimate(ys[0]), einsum_single_estimate(pre, ys[0]))
 
+    @pytest.mark.parametrize("components", [1, 2, 3, 4])
+    @pytest.mark.parametrize("count", [1, 4097])
+    def test_scalar_gains_match_matmul(self, components, count):
+        # d = m = 1: the gains are applied by a broadcast multiply, one
+        # multiplication per entry, so the bits are the batched matmul's
+        rng = np.random.default_rng(10 * components + count)
+        pre = PrecomputedEstimator(random_model(rng, 1, 1, components, 2))
+        ys = rng.normal(scale=3.0, size=(count, 1))
+        _, means = pre._posterior_terms(ys)
+        reference = pre.gains @ pre.obs._deviations(ys) + pre.x_means[:, :, None]
+        npt.assert_array_equal(means, reference)
+
     def test_random_models_match_einsum_reference(self):
         # Full gains sum their products in another order; tolerance relative
         # to the largest per-pair posterior mean, which the estimate averages.

@@ -18,6 +18,7 @@ from gmbayes import (
     independent_join,
     marginal,
 )
+from gmbayes.mixture import _stacked_product
 
 from conftest import (
     assert_mixture_equal,
@@ -234,6 +235,20 @@ class TestLogDensity:
         value = mix.log_density(np.array([400.0]))
         assert math.isfinite(value)
         assert value == pytest.approx(FAR_POINT_LOG_DENSITY, rel=1e-12)
+
+    @pytest.mark.parametrize("components", [1, 2, 3, 4])
+    @pytest.mark.parametrize("count", [1, 4097])
+    def test_scalar_whitening_matches_matmul(self, components, count):
+        # 1-D mixtures whiten by a broadcast multiply; a 1 x 1 product is one
+        # multiplication, so the bits are the batched matmul's
+        rng = np.random.default_rng(10 * components + count)
+        mix = random_mixture(rng, 1, components)
+        points = rng.normal(scale=3.0, size=(count, 1))
+        dev = mix._deviations(points)
+        z = mix._inv_chols @ dev
+        npt.assert_array_equal(_stacked_product(mix._inv_chols, dev), z)
+        reference = -0.5 * np.einsum("kin,kin->kn", z, z) + mix._log_norms[:, None]
+        npt.assert_array_equal(mix.component_log_pdfs(points), reference)
 
     def test_density_integrates_to_one(self):
         rng = np.random.default_rng(23)

@@ -1,5 +1,8 @@
 """Tests for the 1-D quadrature oracle."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,14 @@ from gmbayes import (
     quad_mse,
     quad_posterior_mean,
 )
-from gmbayes.quadrature import SPAN_SIGMAS, support_grid
+from gmbayes.quadrature import (
+    _CHUNK_ROWS,
+    SPAN_SIGMAS,
+    _moment_weights,
+    _posterior_moments,
+    _support_interval,
+    support_grid,
+)
 
 from conftest import random_model
 
@@ -63,8 +73,58 @@ def brute_force_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec) -> fl
     return float(np.trapezoid(np.exp(obs.log_density(y)) * variance, y))
 
 
-def noise_evaluations(monkeypatch, model: BayesianLinearModel, spec: QuadratureSpec) -> int:
-    """Number of points at which ``quad_mse`` evaluates the noise log-density."""
+def gather_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec) -> float:
+    """Reference :func:`quad_mse` that gathers each block of the residual lattice by index.
+
+    The same y lattice and the same arithmetic as ``quad_mse``, but every
+    block is read through a ``(rows, grid)`` array of lattice indices with
+    ``np.take`` (or, when the lattice is too large, residuals formed from
+    those indices), then the log prior is added in a second pass.
+    """
+    h = float(model.H[0, 0])
+    x_grid = support_grid(model.x_prior, SPAN_SIGMAS, spec.grid_points)
+    log_prior = model.x_prior.log_density(x_grid)
+    moment_weights = _moment_weights(x_grid)
+    size = x_grid.size
+    dx = (x_grid[-1] - x_grid[0]) / (size - 1)
+    step = abs(h) * dx if h != 0.0 else dx
+    sign = int(np.sign(h))
+
+    obs = observation_mixture(model)
+    low, high = _support_interval(obs, SPAN_SIGMAS)
+    stride = max(1, math.ceil((high - low) / ((size - 1) * step)))
+    y_count = min(size, math.ceil((high - low) / (stride * step)) + 1)
+    y_index = stride * np.arange(y_count)
+    y_grid = low + y_index * step
+    origin = low - h * x_grid[0]
+    density = np.exp(obs.log_density(y_grid))
+    column = -sign * np.arange(size)
+    column_low, column_high = int(column.min()), int(column.max())
+    offsets = (stride * np.arange(_CHUNK_ROWS) - column_low)[:, None] + column[None, :]
+    log_w = np.empty(offsets.shape)
+    nodes = int(y_index[-1]) + column_high - column_low + 1
+    lattice = (model.noise.log_density(origin + np.arange(column_low, column_low + nodes) * step)
+               if nodes <= log_w.size else None)
+
+    integrand = np.empty_like(y_grid)
+    for start in range(0, y_count, _CHUNK_ROWS):
+        rows = slice(start, min(start + _CHUNK_ROWS, y_count))
+        count = rows.stop - start
+        block = log_w[:count]
+        if lattice is not None:
+            np.take(lattice[stride * start:], offsets[:count], out=block)
+        else:
+            residual = origin + (column_low + stride * start + offsets[:count].reshape(-1)) * step
+            block[...] = model.noise.log_density(residual).reshape(block.shape)
+        block += log_prior
+        first, second, _ = _posterior_moments(block, moment_weights)
+        integrand[rows] = density[rows] * (second - first**2)
+    return float(np.trapezoid(integrand, y_grid))
+
+
+def quad_mse_work(monkeypatch, model: BayesianLinearModel, spec: QuadratureSpec) -> tuple[int, int]:
+    """Points at which ``quad_mse`` evaluates the noise log-density, and its
+    tracemalloc peak in bytes."""
     counts = []
     original = GaussianMixture.log_density
 
@@ -74,8 +134,13 @@ def noise_evaluations(monkeypatch, model: BayesianLinearModel, spec: QuadratureS
         return original(self, x)
 
     monkeypatch.setattr(GaussianMixture, "log_density", counting)
-    quad_mse(model, spec)
-    return sum(counts)
+    tracemalloc.start()
+    try:
+        quad_mse(model, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return sum(counts), peak
 
 
 class TestQuadratureSpec:
@@ -158,10 +223,13 @@ class TestQuadMse:
 
     @pytest.mark.parametrize("h", [1.0, 2.5, -3.0, 0.0, 1e-6, -1e-6])
     def test_matches_brute_force(self, h):
+        # 1e-6 and -1e-6 take the direct-evaluation branch; the window read
+        # gives the same bits as the index gather in both branches
         model = oracle1d_model(h)
         spec = QuadratureSpec(grid_points=1001)
-        reference = brute_force_quad_mse(model, spec)
-        assert quad_mse(model, spec) == pytest.approx(reference, rel=1e-12)
+        value = quad_mse(model, spec)
+        assert value == gather_quad_mse(model, spec)
+        assert value == pytest.approx(brute_force_quad_mse(model, spec), rel=1e-12)
 
     def test_matches_brute_force_on_random_models(self):
         # the models of acceptance criterion 2
@@ -169,26 +237,34 @@ class TestQuadMse:
         rng = np.random.default_rng(42)
         for _ in range(20):
             model = random_model(rng, 1, 1, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-            reference = brute_force_quad_mse(model, spec)
-            assert quad_mse(model, spec) == pytest.approx(reference, rel=1e-12)
+            value = quad_mse(model, spec)
+            assert value == gather_quad_mse(model, spec)
+            assert value == pytest.approx(brute_force_quad_mse(model, spec), rel=1e-12)
+
+    def test_window_read_matches_gather_on_oracle1d(self):
+        assert quad_mse(oracle1d_model(), SPEC) == gather_quad_mse(oracle1d_model(), SPEC)
 
     @pytest.mark.parametrize("h", [1.0, -3.0, 0.0])
     def test_lattice_evaluates_noise_on_few_points(self, monkeypatch, h):
         spec = QuadratureSpec(grid_points=1001)
-        count = noise_evaluations(monkeypatch, oracle1d_model(h), spec)
+        count, _ = quad_mse_work(monkeypatch, oracle1d_model(h), spec)
         assert count < 0.05 * spec.grid_points**2
 
     @pytest.mark.parametrize("points, nodes", [(4001, 9341), (20001, 46695)])
     def test_lattice_evaluates_noise_once_per_node(self, monkeypatch, points, nodes):
-        # the oracle1d residual lattice, one noise evaluation per node
+        # the oracle1d residual lattice, one noise evaluation per node; memory
+        # is one reused (64, grid) block of log posterior (10.2 MB at 20 001
+        # points) and no index array of that size
         spec = QuadratureSpec(grid_points=points)
-        assert noise_evaluations(monkeypatch, oracle1d_model(), spec) == nodes
+        count, peak = quad_mse_work(monkeypatch, oracle1d_model(), spec)
+        assert count == nodes
+        assert peak < 16e6
 
     @pytest.mark.parametrize("h", [1e-6, -1e-6])
     def test_tiny_gain_work_bounded_by_brute_force(self, monkeypatch, h):
         # the lattice stride exceeds the grid: residuals are evaluated directly
         spec = QuadratureSpec(grid_points=1001)
-        count = noise_evaluations(monkeypatch, oracle1d_model(h), spec)
+        count, _ = quad_mse_work(monkeypatch, oracle1d_model(h), spec)
         assert spec.grid_points**2 // 2 <= count <= spec.grid_points**2
 
     def test_grid_convergence(self):
