@@ -22,12 +22,15 @@ Responsibilities are evaluated as a softmax of log weights plus Gaussian
 log-densities, so they are well-defined even when every component
 likelihood underflows a double. A responsibility below the smallest normal
 double (``numpy.finfo(float).tiny``, about 2.2e-308) is exactly 0: such a
-term cannot move an estimate, and subnormal arithmetic is slow.
+term cannot move an estimate, and subnormal arithmetic is slow. Both
+exponentials of the softmax, in the log-sum-exp and in the normalisation,
+zero their entries below ``log(tiny)`` before the ``exp`` and never evaluate
+them: ``exp`` takes a slow path there, and at high SNR most of the pairs
+that do not explain an observation lie that far below the one that does.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from .mixture import (
     ValidationError,
     _as_batch,
+    _exp_flushed,
     _frozen,
     _log_sum_exp,
     _mixture_covariance,
@@ -48,12 +52,6 @@ __all__ = [
     "PosteriorGM",
     "LmmseEstimator",
 ]
-
-# Log-responsibilities below this are flushed to -inf before the exp. It
-# rounds so that exp(_LOG_TINY) is 2.7e-14 (relative) above tiny, more than
-# the few-ulp distance of a column sum from 1, so the division leaves no
-# surviving responsibility subnormal.
-_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 class PrecomputedEstimator:
@@ -122,20 +120,19 @@ class PrecomputedEstimator:
         """Responsibilities ``(n_pairs, n)`` from per-pair log-densities, in place.
 
         Overwrites ``log_pdfs``: adds the log weights, subtracts their
-        log-sum-exp, sets values below ``log(tiny)`` to ``-inf``,
-        exponentiates, and divides by the sum. An observation with zero
-        density under every pair (log-sum-exp ``-inf``) has no
-        responsibilities and raises :class:`ValidationError`.
+        log-sum-exp, exponentiates with values below ``log(tiny)`` set to
+        exactly 0 without evaluating them, and divides by the sum. An
+        observation with zero density under every pair (log-sum-exp
+        ``-inf``) has no responsibilities and raises :class:`ValidationError`.
         """
         log_pdfs += self.obs.log_weights[:, None]
         total = _log_sum_exp(log_pdfs)
-        if total.min() == -np.inf:
+        if total.min(initial=0.0) == -np.inf:  # initial: an empty batch has no such row
             row = int(np.argmin(total))
             raise ValidationError(f"observation {row} has zero density under every component pair")
         log_pdfs -= total
-        np.putmask(log_pdfs, log_pdfs < _LOG_TINY, -np.inf)
-        alpha = np.exp(log_pdfs, out=log_pdfs)
-        alpha /= np.sum(alpha, axis=0, keepdims=True)
+        alpha = _exp_flushed(log_pdfs)
+        alpha /= alpha.sum(axis=0, keepdims=True)
         return alpha
 
     def _posterior_terms(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

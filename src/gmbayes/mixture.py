@@ -21,6 +21,12 @@ Numerical conventions:
   are evaluated together: deviations from the means are whitened with the
   stacked inverse Cholesky factors (inverses of the triangular factors, never
   of the covariances) and combined with a max-shifted log-sum-exp.
+* Exponentials of log-domain terms below ``log(tiny)`` (``tiny`` the
+  smallest normal double, about 2.2e-308) are exactly 0: such entries are
+  zeroed before the ``exp`` and never evaluated. Next to a term of 1 they
+  cannot move a sum, and ``exp`` is up to a hundred times slower on inputs
+  whose result is subnormal; at high SNR most of a softmax's terms are such
+  inputs.
 * Weights must sum to 1 within ``WEIGHT_SUM_TOL`` and are renormalized
   exactly once, at user-facing construction. Transform operations carry
   already-normalized weights through verbatim so that round-trips such as
@@ -52,6 +58,12 @@ WEIGHT_SUM_TOL = 1e-9
 SYMMETRY_RTOL = 1e-12
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+# Exponents below this give exactly 0 (see _exp_flushed). It rounds so that
+# exp(_LOG_TINY) is 2.7e-14 (relative) above tiny, more than the few-ulp
+# distance of a softmax column sum from 1, so normalising the responsibilities
+# leaves no surviving one subnormal.
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 class ValidationError(ValueError):
@@ -344,6 +356,25 @@ def _stacked_product(factors: np.ndarray, block: np.ndarray) -> np.ndarray:
     return factors * block if factors.shape[-2:] == (1, 1) else factors @ block
 
 
+def _exp_flushed(logs: np.ndarray) -> np.ndarray:
+    """``exp(logs)`` in place, with every entry below ``_LOG_TINY`` exactly 0.
+
+    Those entries are zeroed before the ``exp`` and so never evaluated:
+    ``exp`` takes a slow path on inputs whose result is subnormal or near
+    the underflow threshold (100 times the cost of an ordinary input), and
+    at high SNR most lanes of a responsibility softmax are such inputs.
+    When no entry is below the threshold, the masking is skipped.
+    """
+    if logs.min(initial=0.0) < _LOG_TINY:  # initial: an empty array has none
+        flushed = logs < _LOG_TINY
+        np.putmask(logs, flushed, 0.0)
+        np.exp(logs, out=logs)
+        np.putmask(logs, flushed, 0.0)
+    else:
+        np.exp(logs, out=logs)
+    return logs
+
+
 def _log_sum_exp(logs: np.ndarray) -> np.ndarray:
     """``log(sum(exp(logs), axis=0))`` for a ``(K, n)`` array.
 
@@ -351,14 +382,23 @@ def _log_sum_exp(logs: np.ndarray) -> np.ndarray:
     terms, which keeps the result accurate when one term dominates
     (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41, 2021). Columns
     that are entirely ``-inf`` give ``-inf``.
+
+    Shifted terms below ``_LOG_TINY`` count as exactly 0 (see
+    :func:`_exp_flushed`). They total less than ``K * tiny``, so dropping
+    them moves the result only where a sum that small survives rounding:
+    in practice a column with a single term at its peak, other terms that
+    are tiny too, and a peak within about ``K * 2**-914`` of 0. The plainest
+    case is a single term at a peak below ``2**-960`` with every other term
+    flushed. The result then moves by at most one unit in its last place
+    or ``K * 2**-1021``, whichever is larger.
     """
-    peak = np.max(logs, axis=0)
-    rest = np.exp(logs - np.where(np.isfinite(peak), peak, 0.0))
+    peak = logs.max(axis=0)
+    rest = _exp_flushed(logs - np.where(np.isfinite(peak), peak, 0.0))
     # Terms at the peak are exactly 1; drop them all and add back all but one.
     at_peak = logs == peak
     rest -= at_peak
     with np.errstate(divide="ignore"):
-        return peak + np.log1p(np.sum(rest, axis=0) + (np.count_nonzero(at_peak, axis=0) - 1))
+        return peak + np.log1p(rest.sum(axis=0) + (at_peak.sum(axis=0) - 1))
 
 
 def _mixture_covariance(weights: np.ndarray, means: np.ndarray, covariances: np.ndarray) -> np.ndarray:

@@ -137,6 +137,18 @@ def reference_mixture_covariance(weights, means, covariances) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def reference_log_sum_exp(logs: np.ndarray) -> np.ndarray:
+    """``log(sum(exp(logs), axis=0))`` as the mixture wrote it before its
+    underflowing terms were flushed: every shifted term goes through ``exp``,
+    subnormal results included. The reference for ``mixture._log_sum_exp``."""
+    peak = np.max(logs, axis=0)
+    rest = np.exp(logs - np.where(np.isfinite(peak), peak, 0.0))
+    at_peak = logs == peak
+    rest -= at_peak
+    with np.errstate(divide="ignore"):
+        return peak + np.log1p(np.sum(rest, axis=0) + (np.count_nonzero(at_peak, axis=0) - 1))
+
+
 def assert_mixture_equal(mixture: GaussianMixture, reference) -> None:
     """Bit-exact equality of the stacked arrays with a :func:`per_component` reference."""
     stacked = (mixture.weights, mixture.means, mixture.covariances, mixture.chols)

@@ -22,15 +22,17 @@ from gmbayes import (
     packaged_config,
     scale_noise,
 )
-from gmbayes.mixture import _log_sum_exp
 
 from conftest import (
     point_inputs,
     random_model,
     reference_inv_chols,
+    reference_log_sum_exp,
     reference_mixture_covariance,
     rejected_input,
 )
+
+LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 def scalar_wiener_model() -> BayesianLinearModel:
@@ -240,28 +242,73 @@ class TestResponsibilities:
             )
 
 
+def figure1_batch(snr_db: float, rows: int = 4096) -> tuple[PrecomputedEstimator, np.ndarray]:
+    """The figure-1 estimator at ``snr_db`` and ``rows`` observations drawn from its model."""
+    scaled, _ = calibrate_noise_scale(load_config(packaged_config("figure1.config")).model, snr_db)
+    ys = scaled.x_prior.sample(rows, 41) @ scaled.H.T + scaled.noise.sample(rows, 42)
+    return PrecomputedEstimator(scaled), ys
+
+
 def unflushed_softmax(pre: PrecomputedEstimator, ys: np.ndarray) -> np.ndarray:
     """The two-step softmax without the subnormal flush, ``(n_pairs, n)``:
     the bit-exact reference for every responsibility the flush keeps."""
     logs = pre.log_observation_pdfs(ys) + pre.obs.log_weights[:, None]
-    logs -= _log_sum_exp(logs)
+    logs -= reference_log_sum_exp(logs)
     alpha = np.exp(logs)
     return alpha / np.sum(alpha, axis=0, keepdims=True)
+
+
+def flushed_softmax(pre: PrecomputedEstimator, log_pdfs: np.ndarray) -> np.ndarray:
+    """Responsibilities ``(n_pairs, n)`` as the estimator formed them while its
+    flushed lanes still went through ``exp``: log-sum-exp over every term, then
+    values below ``log(tiny)`` set to ``-inf`` and exponentiated. The bit-exact
+    reference for the responsibilities."""
+    logs = log_pdfs + pre.obs.log_weights[:, None]
+    logs -= reference_log_sum_exp(logs)
+    np.putmask(logs, logs < LOG_TINY, -np.inf)
+    alpha = np.exp(logs)
+    return alpha / np.sum(alpha, axis=0, keepdims=True)
+
+
+def assert_matches_flushed_softmax(pre: PrecomputedEstimator, ys: np.ndarray, singles: int) -> None:
+    """Batch responsibilities and estimates of ``ys``, and single-observation
+    estimates and posterior means of its first ``singles`` rows, equal the
+    :func:`flushed_softmax` reference bit for bit."""
+    alpha = flushed_softmax(pre, pre.log_observation_pdfs(ys))
+    npt.assert_array_equal(pre.responsibilities(ys).reshape(pre.n_pairs, -1), alpha)
+    _, comp_means = pre._posterior_terms(ys)
+    npt.assert_array_equal(pre.estimate(ys), np.einsum("pn,pdn->nd", alpha, comp_means))
+    for y in ys[:singles]:
+        one = flushed_softmax(pre, pre.log_observation_pdfs(y[None]))[:, 0]
+        _, means = pre._posterior_terms(y[None])
+        post = pre.posterior(y)
+        npt.assert_array_equal(post.responsibilities.reshape(-1), one)
+        npt.assert_array_equal(post.mean(), one @ means[:, :, 0])
+        npt.assert_array_equal(pre.estimate(y), one @ means[:, :, 0])
 
 
 class TestSubnormalFlush:
     """Responsibilities below the smallest normal double are exactly 0."""
 
-    def test_figure1_20db(self):
-        run = load_config(packaged_config("figure1.config"))
-        scaled, _ = calibrate_noise_scale(run.model, 20.0)
-        pre = PrecomputedEstimator(scaled)
-        ys = scaled.x_prior.sample(4096, 41) @ scaled.H.T + scaled.noise.sample(4096, 42)
-        tiny = np.finfo(float).tiny
+    def test_figure1_20db(self, monkeypatch):
+        self.check_figure1(monkeypatch, 20.0, flushes=True)
 
-        alpha = pre.responsibilities(ys).reshape(pre.n_pairs, -1)
+    def test_figure1_0db(self, monkeypatch):
+        self.check_figure1(monkeypatch, 0.0, flushes=False)
+
+    @staticmethod
+    def check_figure1(monkeypatch, snr_db: float, flushes: bool) -> None:
+        pre, ys = figure1_batch(snr_db)
+        tiny = np.finfo(float).tiny
         reference = unflushed_softmax(pre, ys)
-        assert np.count_nonzero((reference > 0) & (reference < tiny)) > 100  # the case occurs
+        # the case occurs at 20 dB; at 0 dB nothing flushes
+        assert (np.count_nonzero((reference > 0) & (reference < tiny)) > 100) == flushes
+
+        masks = []
+        putmask = np.putmask
+        monkeypatch.setattr(np, "putmask", lambda *args: masks.append(1) or putmask(*args))
+        alpha = pre.responsibilities(ys).reshape(pre.n_pairs, -1)
+        assert bool(masks) == flushes  # with nothing to flush, no mask is built
         assert not np.any((alpha > 0) & (alpha < tiny))
         kept = reference >= tiny
         npt.assert_array_equal(alpha[kept], reference[kept])
@@ -269,6 +316,72 @@ class TestSubnormalFlush:
 
         _, comp_means = pre._posterior_terms(ys)
         npt.assert_array_equal(pre.estimate(ys), np.einsum("pn,pdn->nd", reference, comp_means))
+
+    @pytest.mark.parametrize("snr_db", [-10.0, 0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 120.0, 200.0])
+    def test_figure1_matches_flushed_softmax(self, snr_db):
+        pre, ys = figure1_batch(snr_db)
+        assert_matches_flushed_softmax(pre, ys, singles=64)
+
+    def test_criterion_2_models_match_flushed_softmax(self):
+        # the 20 random models of acceptance criterion 2, over 60 standard
+        # deviations of the observation mixture, where far pairs flush
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            pre = PrecomputedEstimator(
+                random_model(rng, 1, 1, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+            )
+            sigmas = np.sqrt(pre.obs.covariances[:, 0, 0])
+            ys = np.linspace(np.min(pre.obs.means[:, 0] - 60.0 * sigmas),
+                             np.max(pre.obs.means[:, 0] + 60.0 * sigmas), 401)
+            assert_matches_flushed_softmax(pre, ys[:, None], singles=41)
+
+    def test_zero_weight_pair(self):
+        # a zero-weight signal component gives its pairs a -inf log weight:
+        # flushed, never exponentiated, and exactly 0
+        x = GaussianMixture.from_parameters(
+            [0.6, 0.0, 0.4], [np.array([-2.0]), np.array([0.5]), np.array([30.0])],
+            [[[0.5]], [[1.0]], [[0.01]]],
+        )
+        n = GaussianMixture.from_parameters(
+            [0.9, 0.1], [np.array([0.0]), np.array([1.0])], [[[0.01]], [[4.0]]]
+        )
+        pre = PrecomputedEstimator(BayesianLinearModel(np.array([[1.0]]), x, n))
+        ys = np.linspace(-40.0, 70.0, 221)[:, None]
+        assert_matches_flushed_softmax(pre, ys, singles=221)
+        assert not np.any(pre.responsibilities(ys)[1])
+
+    def test_zero_density_agrees_with_reference(self):
+        pre, ys = figure1_batch(20.0, rows=3)
+        ys[2] = 1e200
+        logs = pre.log_observation_pdfs(ys) + pre.obs.log_weights[:, None]
+        npt.assert_array_equal(np.isneginf(reference_log_sum_exp(logs)), [False, False, True])
+        with pytest.raises(ValidationError, match="observation 2 has zero density"):
+            pre.estimate(ys)
+        assert_matches_flushed_softmax(pre, ys[:2], singles=2)
+
+
+class TestExpFastPath:
+    """No lane below ``log(tiny)`` reaches ``numpy.exp``, where it would take the slow path."""
+
+    def test_flushed_lanes_never_reach_exp(self, monkeypatch):
+        (pre20, ys20), (pre40, ys40) = (figure1_batch(snr_db) for snr_db in (20.0, 40.0))
+        calls = [(pre20, ys20), (pre40, ys40), (pre40, ys40[0])]  # two batches, one observation
+        for pre, y in calls:
+            logs = pre.log_observation_pdfs(np.atleast_2d(y)) + pre.obs.log_weights[:, None]
+            assert np.any(logs - logs.max(axis=0) < LOG_TINY)  # lanes that flush exist
+
+        smallest = []
+        exp = np.exp
+
+        def spy(x, *args, **kwargs):
+            smallest.append(np.min(x, initial=np.inf))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", spy)
+        for pre, y in calls:
+            pre.estimate(y)
+        assert len(smallest) == 2 * len(calls)  # the log-sum-exp's and the normalisation's
+        assert min(smallest) >= LOG_TINY
 
 
 class TestMmseEstimate:
@@ -665,3 +778,12 @@ class TestInputContract:
         assert post.component_covariances.shape == table + (d, d)
         assert post.mean().dtype == np.float64
         assert post.covariance().shape == (d, d)
+
+    @pytest.mark.parametrize("m", sorted(CONTRACT_ESTIMATORS))
+    def test_empty_batch(self, m):
+        pre = CONTRACT_ESTIMATORS[m]
+        empty, d = np.empty((0, m)), pre.model.signal_dim
+        assert pre.estimate(empty).shape == (0, d)
+        assert pre.responsibilities(empty).shape == (pre.n_signal, pre.n_noise, 0)
+        assert LmmseEstimator(pre.model).estimate(empty).shape == (0, d)
+        assert pre.obs.log_density(empty).shape == (0,)

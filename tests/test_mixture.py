@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
@@ -18,7 +19,7 @@ from gmbayes import (
     independent_join,
     marginal,
 )
-from gmbayes.mixture import _stacked_product
+from gmbayes.mixture import _LOG_TINY, _log_sum_exp, _stacked_product
 
 from conftest import (
     assert_mixture_equal,
@@ -28,6 +29,7 @@ from conftest import (
     reference_affine,
     reference_inv_chols,
     reference_join,
+    reference_log_sum_exp,
     reference_marginal,
     reference_mixture_covariance,
     rejected_input,
@@ -287,6 +289,21 @@ class TestLogDensity:
         assert np.all(np.isfinite(got))
         npt.assert_allclose(got, expected, rtol=1e-12)
 
+    @given(spreads=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=6),
+           points=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_flushed_terms_leave_values_unchanged(self, spreads, points):
+        # unit-variance components whose log-densities at 0 lie 0 to 1e4
+        # nats under the first one's: the terms that fall below log(tiny)
+        # under the peak are flushed, and the result is still the unflushed
+        # sum bit for bit
+        means = np.sqrt(2.0 * np.array([0.0] + spreads))[:, None]
+        mix = GaussianMixture(np.full(len(means), 1.0 / len(means)), means,
+                              np.ones((len(means), 1, 1)))
+        x = np.array(points)
+        logs = mix.component_log_pdfs(x[:, None]) + mix.log_weights[:, None]
+        npt.assert_array_equal(mix.log_density(x), reference_log_sum_exp(logs))
+
     @given(point=st.floats(-1e6, 1e6))
     @settings(max_examples=50, deadline=None)
     def test_log_density_always_finite(self, point):
@@ -311,6 +328,41 @@ class TestLogDensity:
             assert np.all(np.isfinite(out))
         else:
             assert isinstance(out, float) and math.isfinite(out)
+
+
+class TestLogSumExp:
+    """Shifted terms below log(tiny) are exactly 0 and never reach ``exp``."""
+
+    @given(peak=st.floats(-1e3, 1e3),
+           spreads=arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 8)),
+                          elements=st.floats(0.0, 1e4)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_unflushed_sum(self, peak, spreads):
+        spreads[0] = 0.0  # the first row holds each column's peak
+        logs = peak - spreads
+        got, want = _log_sum_exp(logs), reference_log_sum_exp(logs)
+        # bit for bit, except in the documented case of a peak this close to 0
+        k = len(logs)
+        exact = np.abs(logs.max(axis=0)) >= k * 2.0**-914
+        npt.assert_array_equal(got[exact], want[exact])
+        bound = np.maximum(np.spacing(np.abs(want)), k * 2.0**-1021)
+        assert np.all(np.abs(got - want) <= bound)
+
+    def test_flush_shows_only_against_a_tiny_peak(self):
+        # one term at a peak of 2**-1000 and one 720 nats under it: the
+        # unflushed sum adds exp(-720), about 1.9e-313, which shows against
+        # so small a peak; flushed, the result is the peak itself
+        peak = 2.0**-1000
+        logs = np.array([[peak], [peak - 720.0]])
+        assert logs[1, 0] - peak < _LOG_TINY
+        assert _log_sum_exp(logs)[0] == peak
+        want = reference_log_sum_exp(logs)[0]
+        assert want != peak and abs(want - peak) < 2 * 2.0**-1021
+
+    def test_columns_of_minus_infinity_and_empty_columns(self):
+        logs = np.array([[-np.inf, 0.0], [-np.inf, -1e4]])
+        npt.assert_array_equal(_log_sum_exp(logs), [-np.inf, 0.0])
+        assert _log_sum_exp(np.empty((3, 0))).shape == (0,)
 
 
 # ------------------------------------------------------------------ sampling
