@@ -363,15 +363,12 @@ def _exp_flushed(logs: np.ndarray) -> np.ndarray:
     ``exp`` takes a slow path on inputs whose result is subnormal or near
     the underflow threshold (100 times the cost of an ordinary input), and
     at high SNR most lanes of a responsibility softmax are such inputs.
-    When no entry is below the threshold, the masking is skipped.
+    ``nan`` entries are not below the threshold and stay ``nan``.
     """
-    if logs.min(initial=0.0) < _LOG_TINY:  # initial: an empty array has none
-        flushed = logs < _LOG_TINY
-        np.putmask(logs, flushed, 0.0)
-        np.exp(logs, out=logs)
-        np.putmask(logs, flushed, 0.0)
-    else:
-        np.exp(logs, out=logs)
+    flushed = logs < _LOG_TINY
+    np.putmask(logs, flushed, 0.0)
+    np.exp(logs, out=logs)
+    np.putmask(logs, flushed, 0.0)
     return logs
 
 
