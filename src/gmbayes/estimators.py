@@ -18,15 +18,13 @@ An estimate forms the ``(pairs, m, n)`` block of deviations ``y - mu_y``
 once per batch; the whitening and the gains both read it, the gains as one
 batched matrix product, and the responsibility-weighted reduction runs over
 the resulting ``(pairs, d, n)`` per-pair means.
-Responsibilities are evaluated as a softmax of log weights plus Gaussian
-log-densities, so they are well-defined even when every component
-likelihood underflows a double. A responsibility below the smallest normal
-double (``numpy.finfo(float).tiny``, about 2.2e-308) is exactly 0: such a
-term cannot move an estimate, and subnormal arithmetic is slow. Both
-exponentials of the softmax, in the log-sum-exp and in the normalisation,
-zero their entries below ``log(tiny)`` before the ``exp`` and never evaluate
-them: ``exp`` takes a slow path there, and at high SNR most of the pairs
-that do not explain an observation lie that far below the one that does.
+Responsibilities are a softmax of log weights plus Gaussian log-densities,
+well-defined even when every component likelihood underflows a double. Both
+of its exponentials follow the one rule of :mod:`gmbayes.mixture`: a lane a
+double cannot hold (below ``log(tiny)``, ``tiny`` the smallest normal
+double; ``-inf``; or ``nan`` from an overflow in the whitening) is exactly 0
+and never reaches ``exp``. An observation with only such lanes has zero
+density under every pair and raises :class:`ValidationError`.
 """
 
 from __future__ import annotations
@@ -120,16 +118,15 @@ class PrecomputedEstimator:
         """Responsibilities ``(n_pairs, n)`` from per-pair log-densities, in place.
 
         Overwrites ``log_pdfs``: adds the log weights, subtracts their
-        log-sum-exp, exponentiates with values below ``log(tiny)`` set to
-        exactly 0 without evaluating them, and divides by the sum. An
-        observation with zero density under every pair (log-sum-exp
+        log-sum-exp, exponentiates by :func:`_exp_flushed` and divides by the
+        sum. An observation with zero density under every pair (log-sum-exp
         ``-inf``) has no responsibilities and raises :class:`ValidationError`.
         """
         log_pdfs += self.obs.log_weights[:, None]
         total = _log_sum_exp(log_pdfs)
-        if total.min(initial=0.0) == -np.inf:  # initial: an empty batch has no such row
-            row = int(np.argmin(total))
-            raise ValidationError(f"observation {row} has zero density under every component pair")
+        zero = np.isneginf(total)
+        if zero.any():
+            raise ValidationError(f"observation {zero.argmax()} has zero density under every component pair")
         log_pdfs -= total
         alpha = _exp_flushed(log_pdfs)
         alpha /= alpha.sum(axis=0, keepdims=True)

@@ -20,13 +20,13 @@ Numerical conventions:
   likelihoods that underflow a double do not poison mixtures. All components
   are evaluated together: deviations from the means are whitened with the
   stacked inverse Cholesky factors (inverses of the triangular factors, never
-  of the covariances) and combined with a max-shifted log-sum-exp.
-* Exponentials of log-domain terms below ``log(tiny)`` (``tiny`` the
-  smallest normal double, about 2.2e-308) are exactly 0: such entries are
-  zeroed before the ``exp`` and never evaluated. Next to a term of 1 they
-  cannot move a sum, and ``exp`` is up to a hundred times slower on inputs
-  whose result is subnormal; at high SNR most of a softmax's terms are such
-  inputs.
+  of the covariances) and combined with a peak-shifted log-sum-exp.
+* Every log-domain normalisation shifts by its column's always-finite peak
+  (:func:`_peak`). A lane a double cannot hold (below ``log(tiny)``, ``tiny``
+  the smallest normal double; ``-inf``; or ``nan`` from an overflow) is
+  exactly 0, zeroed before the ``exp`` and never evaluated: ``exp`` is up to
+  a hundred times slower on inputs whose result is subnormal. A column of
+  nothing but such lanes has zero density.
 * Weights must sum to 1 within ``WEIGHT_SUM_TOL`` and are renormalized
   exactly once, at user-facing construction. Transform operations carry
   already-normalized weights through verbatim so that round-trips such as
@@ -64,6 +64,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 # distance of a softmax column sum from 1, so normalising the responsibilities
 # leaves no surviving one subnormal.
 _LOG_TINY = math.log(np.finfo(float).tiny)
+_LOWEST = -np.finfo(float).max  # the floor of every _peak
 
 
 class ValidationError(ValueError):
@@ -266,8 +267,6 @@ class GaussianMixture:
         """
         count = _integer("count", count)
         rng = np.random.Generator(np.random.Philox(_integer("seed", seed)))
-        if count == 0:
-            return np.empty((0, self.dim))
         if len(self) == 1:
             rng.bit_generator.random_raw(count, output=False)  # the pick's uniforms
             return self._component_draws(0, rng.standard_normal((count, self.dim)))
@@ -356,16 +355,21 @@ def _stacked_product(factors: np.ndarray, block: np.ndarray) -> np.ndarray:
     return factors * block if factors.shape[-2:] == (1, 1) else factors @ block
 
 
-def _exp_flushed(logs: np.ndarray) -> np.ndarray:
-    """``exp(logs)`` in place, with every entry below ``_LOG_TINY`` exactly 0.
+def _peak(logs: np.ndarray, axis: int) -> np.ndarray:
+    """Every normalisation's shift: the largest non-``nan`` entry, never below ``_LOWEST``."""
+    return np.fmax.reduce(logs, axis=axis, initial=_LOWEST)
 
-    Those entries are zeroed before the ``exp`` and so never evaluated:
-    ``exp`` takes a slow path on inputs whose result is subnormal or near
-    the underflow threshold (100 times the cost of an ordinary input), and
-    at high SNR most lanes of a responsibility softmax are such inputs.
-    ``nan`` entries are not below the threshold and stay ``nan``.
+
+def _exp_flushed(logs: np.ndarray) -> np.ndarray:
+    """``exp(logs)`` in place, with every lane a double cannot hold exactly 0.
+
+    Such a lane is not ``>= _LOG_TINY``: below it, ``-inf``, or ``nan`` from
+    an overflow in the whitening (``0 * inf`` once ``y - u`` overflows). It
+    is zeroed before the ``exp`` and never evaluated: ``exp`` takes a slow
+    path on inputs whose result is subnormal (100 times the cost of an
+    ordinary input), and at high SNR most softmax lanes are such inputs.
     """
-    flushed = logs < _LOG_TINY
+    flushed = ~(logs >= _LOG_TINY)
     np.putmask(logs, flushed, 0.0)
     np.exp(logs, out=logs)
     np.putmask(logs, flushed, 0.0)
@@ -375,22 +379,20 @@ def _exp_flushed(logs: np.ndarray) -> np.ndarray:
 def _log_sum_exp(logs: np.ndarray) -> np.ndarray:
     """``log(sum(exp(logs), axis=0))`` for a ``(K, n)`` array.
 
-    Shifts each column by its maximum and adds ``log1p`` of the remaining
-    terms, which keeps the result accurate when one term dominates
-    (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41, 2021). Columns
-    that are entirely ``-inf`` give ``-inf``.
+    Shifts each column by its :func:`_peak` and adds ``log1p`` of the
+    remaining terms, which keeps the result accurate when one term dominates
+    (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41, 2021). A lane
+    :func:`_exp_flushed` zeroes (``nan`` too) is 0: a column of them is ``-inf``.
 
-    Shifted terms below ``_LOG_TINY`` count as exactly 0 (see
-    :func:`_exp_flushed`). They total less than ``K * tiny``, so dropping
-    them moves the result only where a sum that small survives rounding:
-    in practice a column with a single term at its peak, other terms that
-    are tiny too, and a peak within about ``K * 2**-914`` of 0. The plainest
-    case is a single term at a peak below ``2**-960`` with every other term
-    flushed. The result then moves by at most one unit in its last place
-    or ``K * 2**-1021``, whichever is larger.
+    Shifted terms below ``_LOG_TINY`` total less than ``K * tiny``. Dropping
+    them moves the result only where a sum that small survives rounding: a
+    column with a single term at its peak, other terms that are tiny too,
+    and a peak within about ``K * 2**-914`` of 0 (plainest, a peak below
+    ``2**-960`` with every other term flushed). The result then moves by at
+    most one unit in its last place or ``K * 2**-1021``, whichever is larger.
     """
-    peak = logs.max(axis=0)
-    rest = _exp_flushed(logs - np.where(np.isfinite(peak), peak, 0.0))
+    peak = _peak(logs, axis=0)
+    rest = _exp_flushed(logs - peak)
     # Terms at the peak are exactly 1; drop them all and add back all but one.
     at_peak = logs == peak
     rest -= at_peak

@@ -7,11 +7,11 @@ of the analytic estimator: posterior density proportional to
 
 The x grid spans every prior component mean by ``SPAN_SIGMAS`` = 12 component
 standard deviations, which puts the truncated tail mass below 1e-30. Log
-densities are shifted by their per-query maximum before exponentiation, so
-the moment ratios stay well conditioned even when the absolute posterior
-scale underflows. The three trapezoid sums (mass,
-first and second moment) of a block of queries are one matrix product
-against the stacked trapezoid weights.
+densities are shifted by their per-query peak (``mixture._peak``, as in every
+log-domain normalisation) before exponentiation, so the moment ratios stay
+well conditioned even when the absolute posterior scale underflows. The
+three trapezoid sums (mass, first and second moment) of a block of queries
+are one matrix product against the stacked trapezoid weights.
 
 :func:`quad_mse` puts its y grid on a lattice whose spacing is an integer
 multiple of ``|H| * dx``. Every residual ``y_i - H x_j`` then lies on one
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .mixture import GaussianMixture, ValidationError, _integer
+from .mixture import GaussianMixture, ValidationError, _integer, _peak
 from .model import BayesianLinearModel, observation_mixture
 
 __all__ = ["SPAN_SIGMAS", "QuadratureSpec", "quad_posterior_mean", "quad_mse", "support_grid"]
@@ -101,12 +101,13 @@ def _posterior_moments(log_w: np.ndarray, moment_weights: np.ndarray):
     ``log_w`` holds the unnormalized log posterior of one query per row on
     the x grid; it is a work array and is overwritten. ``log_mass`` is the log of
     the unnormalized posterior mass, the denominator of Bayes' rule before
-    normalization by the y density.
+    normalization by the y density; it is ``-inf`` for a row of ``-inf``.
     """
-    shift = np.max(log_w, axis=1)
+    shift = _peak(log_w, axis=1)
     log_w -= shift[:, None]
     mass, first, second = (np.exp(log_w, out=log_w) @ moment_weights).T
-    return first / mass, second / mass, shift + np.log(mass)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero mass: moments nan, log_mass -inf
+        return first / mass, second / mass, shift + np.log(mass)
 
 
 def quad_posterior_mean(

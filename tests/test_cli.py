@@ -135,6 +135,21 @@ class TestEstimate:
         assert "zero density under every component pair" in captured.err
         assert "nan" not in (captured.out + captured.err).lower()
 
+    def test_overflowing_whitening_y_exit_1(self, tmp_path, capsys):
+        # the pair at -1e308 whitens y = 1e308 to NaN, the pair at 0 to -inf:
+        # zero density, never an estimate of NaN
+        unit = [[1.0, 0.0], [0.0, 1.0]]
+        config = write_config(tmp_path, {"model": {
+            "H": unit,
+            "x": [{"weight": 0.5, "mean": [-1e308, -1e308], "covariance": unit},
+                  {"weight": 0.5, "mean": [0.0, 0.0], "covariance": unit}],
+            "noise": [{"weight": 1.0, "mean": [0.0, 0.0], "covariance": unit}],
+        }})
+        assert main(["estimate", "--config", config, "--y", "1e308, 1e308"]) == 1
+        captured = capsys.readouterr()
+        assert "zero density under every component pair" in captured.err
+        assert "nan" not in (captured.out + captured.err).lower()
+
     def test_non_finite_y_exit_1(self, capsys):
         assert main(["estimate", "--config", "oracle1d.config", "--y", "nan"]) == 1
         err = capsys.readouterr().err

@@ -228,6 +228,25 @@ class TestResponsibilities:
         alpha = PrecomputedEstimator(two_component_1d_model()).responsibilities(1e150)
         assert alpha.sum() == 1.0 and np.all(np.isfinite(alpha))
 
+    def test_overflowing_whitening_is_zero_density(self):
+        # y - u overflows to inf for the pair at -1e308 and its whitening
+        # gives 0 * inf = NaN; the pair at 0 overflows to -inf. A NaN lane
+        # counts as 0 like an underflow, so this is zero density, not NaN.
+        x = GaussianMixture.from_parameters(
+            [0.5, 0.5], [np.full(2, -1e308), np.zeros(2)], [np.eye(2)] * 2
+        )
+        pre = PrecomputedEstimator(
+            BayesianLinearModel(np.eye(2), x, GaussianMixture.single(np.zeros(2), np.eye(2)))
+        )
+        far = np.full(2, 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert pre.obs.log_density(far) == -np.inf
+            for call in (pre.estimate, pre.responsibilities, pre.posterior):
+                with pytest.raises(ValidationError, match="zero density under every component pair"):
+                    call(far)
+            with pytest.raises(ValidationError, match="observation 1 has zero density"):
+                pre.estimate(np.stack([np.full(2, 0.5), far]))
+
     def test_batch_matches_single(self):
         # batched whitening products may round differently from one-row
         # ones, so agreement is to a few ulp, not bit for bit
@@ -347,18 +366,30 @@ class TestSubnormalFlush:
         assert not np.any(pre.responsibilities(ys)[1])
 
     def test_nan_column_leaves_other_columns_flushed(self):
-        # A NaN log-density (an overflow inside the whitening) must not keep
-        # the rest of the batch from being flushed.
+        # A NaN log-density (an overflow inside the whitening) is a lane a
+        # double cannot hold: it flushes to exactly 0 like an underflow, and
+        # neither its column nor the rest of the batch turns NaN.
         pre, ys = figure1_batch(20.0)
         logs = pre.log_observation_pdfs(ys)
-        logs[:, 7] = np.nan
+        reference = flushed_softmax(pre, logs)
+        lane = int(np.argmax(reference[:, 7]))  # the lane that carried column 7
+        logs[lane, 7] = np.nan
         alpha = pre._softmax(logs.copy())
-        assert np.all(np.isnan(alpha[:, 7]))
+        assert alpha[lane, 7] == 0.0
+        logs[lane, 7] = -np.inf
+        npt.assert_array_equal(alpha[:, 7], flushed_softmax(pre, logs)[:, 7])
         others = np.delete(alpha, 7, axis=1)
         tiny = np.finfo(float).tiny
         assert np.count_nonzero(others == 0.0) > 100  # far lanes were flushed
         assert not np.any((others > 0) & (others < tiny))
-        npt.assert_array_equal(alpha, flushed_softmax(pre, logs))
+        npt.assert_array_equal(others, np.delete(reference, 7, axis=1))
+
+    def test_all_nan_column_has_zero_density(self):
+        pre, ys = figure1_batch(20.0)
+        logs = pre.log_observation_pdfs(ys)
+        logs[:, 7] = np.nan
+        with pytest.raises(ValidationError, match="observation 7 has zero density"):
+            pre._softmax(logs)
 
     def test_zero_density_agrees_with_reference(self):
         pre, ys = figure1_batch(20.0, rows=3)

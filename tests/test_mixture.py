@@ -364,6 +364,12 @@ class TestLogSumExp:
         npt.assert_array_equal(_log_sum_exp(logs), [-np.inf, 0.0])
         assert _log_sum_exp(np.empty((3, 0))).shape == (0,)
 
+    def test_nan_lanes_count_as_zero(self):
+        # a NaN lane (an overflow inside the whitening) flushes like an
+        # underflow: beside other lanes it drops out, alone it is zero density
+        logs = np.array([[np.nan, np.nan, np.nan], [-1.0, -np.inf, np.nan]])
+        npt.assert_array_equal(_log_sum_exp(logs), [-1.0, -np.inf, -np.inf])
+
 
 # ------------------------------------------------------------------ sampling
 

@@ -198,6 +198,13 @@ class TestQuadPosteriorMean:
         with pytest.raises(ValidationError, match="outside numerical support"):
             quad_posterior_mean(scalar_wiener_model(), 60.0, QuadratureSpec(1001))
 
+    def test_zero_posterior_mass_outside_support(self):
+        # the noise log-density is -inf at every residual, so the posterior
+        # has zero mass: the support error, not a NaN mean
+        model = load_config(packaged_config("oracle1d.config")).model
+        with pytest.raises(ValidationError, match="y = 1e\\+200 outside numerical support of the grid"):
+            quad_posterior_mean(model, 1e200, QuadratureSpec(1001))
+
     def test_non_1d_model_rejected(self):
         model = random_model(np.random.default_rng(0), 2, 2, 2, 1)
         with pytest.raises(ValidationError, match="1-D"):
