@@ -8,7 +8,8 @@ The estimator's Bayesian MSE has no closed form, but it is sandwiched:
   posterior covariances;
 * above by the exact MSE of the LMMSE estimator, which uses only the full
   mixture first and second moments, and which never exceeds the prior
-  trace ``tr C_x``.
+  trace ``tr C_x``. It is the MMSE estimator of the moment-matched
+  Gaussian model, a one-pair precompute.
 
 Each bound reads an estimator that a sweep point has already built: the
 lower bound a :class:`PrecomputedEstimator`, the upper bound an

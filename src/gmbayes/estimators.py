@@ -24,7 +24,12 @@ of its exponentials follow the one rule of :mod:`gmbayes.mixture`: a lane a
 double cannot hold (below ``log(tiny)``, ``tiny`` the smallest normal
 double; ``-inf``; or ``nan`` from an overflow in the whitening) is exactly 0
 and never reaches ``exp``. An observation with only such lanes has zero
-density under every pair and raises :class:`ValidationError`.
+density under every pair and raises :class:`ValidationError`. A pair of zero
+responsibility adds nothing to a posterior mean, even where its own mean is
+not finite.
+
+:class:`LmmseEstimator` is the one-pair :class:`PrecomputedEstimator` of the
+moment-matched Gaussian model, for which MMSE and LMMSE coincide.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from .mixture import (
+    GaussianMixture,
     ValidationError,
     _as_batch,
     _exp_flushed,
@@ -169,8 +175,10 @@ class PrecomputedEstimator:
         batch, single = _as_batch(y, self.model.observation_dim, "observation")
         alpha, comp_means = self._posterior_terms(batch)
         if single:
-            return alpha[:, 0] @ comp_means[:, :, 0]
-        return np.einsum("pn,pdn->nd", alpha, comp_means)
+            est = alpha[:, 0] @ comp_means[:, :, 0]
+            _drop_idle_pairs(est[None], alpha, comp_means)
+            return est
+        return _drop_idle_pairs(np.einsum("pn,pdn->nd", alpha, comp_means), alpha, comp_means)
 
     def posterior(self, y) -> "PosteriorGM":
         """The full posterior mixture of the signal given a single ``y``."""
@@ -185,6 +193,27 @@ class PrecomputedEstimator:
             component_means=comp_means[:, :, 0].reshape(shape + (d,)),
             component_covariances=self.comp_post_covs.reshape(shape + (d, d)),
         )
+
+
+def _drop_idle_pairs(means: np.ndarray, alpha: np.ndarray, comp_means: np.ndarray) -> np.ndarray:
+    """The responsibility-weighted ``(n, d)`` posterior means, with idle pairs adding nothing.
+
+    ``means`` is the reduction of ``(n_pairs, n)`` responsibilities ``alpha``
+    over ``(n_pairs, d, n)`` per-pair means ``comp_means``. A pair of zero
+    responsibility may still carry a non-finite mean (its gain meets an
+    overflowed deviation), which the reduction turns into ``0 * nan``. Only
+    the non-finite rows of ``means`` are redone, in place, over the pairs of
+    nonzero responsibility; a row that is still not finite raises
+    :class:`ValidationError` naming the observation.
+    """
+    if np.isfinite(means).all():
+        return means
+    for i in np.flatnonzero(~np.isfinite(means).all(axis=1)):
+        live = alpha[:, i] > 0.0
+        means[i] = alpha[live, i] @ comp_means[live, :, i]
+        if not np.isfinite(means[i]).all():
+            raise ValidationError(f"observation {i} has a posterior mean that overflows a double")
+    return means
 
 
 @dataclass(frozen=True)
@@ -205,51 +234,59 @@ class PosteriorGM:
     def mean(self) -> np.ndarray:
         """Posterior mean; identical to the MMSE estimate at this observation."""
         d = self.component_means.shape[-1]
-        return self.responsibilities.reshape(-1) @ self.component_means.reshape(-1, d)
+        alpha = self.responsibilities.reshape(-1)
+        means = self.component_means.reshape(-1, d)
+        mean = alpha @ means
+        _drop_idle_pairs(mean[None], alpha[:, None], means[:, :, None])
+        return mean
 
     def covariance(self) -> np.ndarray:
-        """Posterior covariance: the mixture covariance of the posterior components."""
+        """Posterior covariance: the mixture covariance of the posterior components.
+
+        Raises :class:`ValidationError` where it overflows a double (its
+        second moments do once a component mean nears the largest double).
+        """
         d = self.component_means.shape[-1]
-        return _mixture_covariance(
+        cov = _mixture_covariance(
             self.responsibilities.reshape(-1),
             self.component_means.reshape(-1, d),
             self.component_covariances.reshape(-1, d, d),
         )
+        if not np.isfinite(cov).all():
+            raise ValidationError("posterior covariance overflows a double")
+        return cov
 
 
 class LmmseEstimator:
     """Best affine estimator, from full mixture first and second moments.
 
-    The gain is ``C_xx H^T S^-1`` with ``S = H C_xx H^T + C_nn`` the
-    innovation covariance, applied through a Cholesky solve. Its exact MSE
-    (``mse``) equals the trace of the error covariance and upper-bounds the
-    MMSE estimator's error.
+    MMSE and LMMSE coincide for Gaussian signal and noise, so this is the
+    one-pair :class:`PrecomputedEstimator` of the moment-matched Gaussian
+    model (each mixture replaced by one Gaussian of its mean and covariance).
+    That pair supplies the gain ``C_xx H^T S^-1``, the predicted observation
+    and the factor of ``S = H C_xx H^T + C_nn``, which its observation mixture
+    validates. The exact MSE (``mse``) equals the trace of the error
+    covariance and upper-bounds the MMSE estimator's error.
     """
 
     __slots__ = ("gain", "x_mean", "predicted_obs", "mse")
 
     def __init__(self, model: BayesianLinearModel):
-        H = model.H
-        x_mean = model.x_prior.mean()
-        x_cov = model.x_prior.covariance()
-        n_mean = model.noise.mean()
-        n_cov = model.noise.covariance()
-        innovation = H @ x_cov @ H.T + n_cov
-        innovation = 0.5 * (innovation + innovation.T)
-        try:
-            chol = np.linalg.cholesky(innovation)
-        except np.linalg.LinAlgError:
-            raise ValidationError("innovation covariance not positive definite") from None
-        cross = H @ x_cov  # C_yx
-        self.gain = cho_solve((chol, True), cross).T
-        self.x_mean = x_mean
-        self.predicted_obs = H @ x_mean + n_mean
+        x, noise = model.x_prior, model.noise
+        x_cov = x.covariance()
+        pair = PrecomputedEstimator(BayesianLinearModel(
+            model.H,
+            GaussianMixture.single(x.mean(), x_cov),
+            GaussianMixture.single(noise.mean(), noise.covariance()),
+        ))
+        self.gain = pair.gains[0]
+        self.x_mean = pair.x_means[0]
+        self.predicted_obs = pair.obs.means[0]
         # trace(C_xx) - sum_j g_j' S^-1 g_j over the columns g_j of H C_xx
-        half = solve_triangular(chol, cross, lower=True)
+        half = solve_triangular(pair.obs.chols[0], model.H @ x_cov, lower=True)
         self.mse = float(np.trace(x_cov) - np.sum(half * half))
 
     def estimate(self, y) -> np.ndarray:
         batch, single = _as_batch(y, self.predicted_obs.shape[0], "observation")
         est = self.x_mean + (batch - self.predicted_obs) @ self.gain.T
         return est[0] if single else est
-

@@ -151,10 +151,7 @@ def calibrate_noise_scale(model: BayesianLinearModel, target_snr_db: float) -> t
         raise ValidationError(f"target SNR {target_snr_db} dB is not finite")
     # a = sqrt(E||x||^2 / E||n||^2) * 10^(-snr_db/20), computed in log10 to
     # survive extreme targets; the scale must still be a normal double.
-    log10_factor = (
-        0.5 * math.log10(model.x_prior.second_moment_trace() / model.noise.second_moment_trace())
-        - target_snr_db / 20.0
-    )
+    log10_factor = 0.5 * math.log10(snr(model)) - target_snr_db / 20.0
     try:
         factor = 10.0 ** log10_factor
     except OverflowError:

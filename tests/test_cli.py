@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,20 +136,39 @@ class TestEstimate:
         assert "zero density under every component pair" in captured.err
         assert "nan" not in (captured.out + captured.err).lower()
 
-    def test_overflowing_whitening_y_exit_1(self, tmp_path, capsys):
-        # the pair at -1e308 whitens y = 1e308 to NaN, the pair at 0 to -inf:
-        # zero density, never an estimate of NaN
+    @staticmethod
+    def two_far_means(tmp_path, second: float) -> str:
+        """A 2-D config whose signal components sit at ``-1e308`` and ``second``
+        in both coordinates, with ``H = I`` and unit covariances."""
         unit = [[1.0, 0.0], [0.0, 1.0]]
-        config = write_config(tmp_path, {"model": {
+        return write_config(tmp_path, {"model": {
             "H": unit,
             "x": [{"weight": 0.5, "mean": [-1e308, -1e308], "covariance": unit},
-                  {"weight": 0.5, "mean": [0.0, 0.0], "covariance": unit}],
+                  {"weight": 0.5, "mean": [second, second], "covariance": unit}],
             "noise": [{"weight": 1.0, "mean": [0.0, 0.0], "covariance": unit}],
         }})
+
+    def test_overflowing_whitening_y_exit_1(self, tmp_path, capsys):
+        # the pair at -1e308 whitens y = 1e308 to NaN, the pair at 0 to -inf:
+        # zero density, never an estimate of NaN, and the overflows on the
+        # way there warn nothing
+        config = self.two_far_means(tmp_path, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--config", config, "--y", "1e308, 1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: observation 0 has zero density under every component pair\n"
+
+    def test_idle_overflowing_pair_exit_1(self, tmp_path, capsys):
+        # the pair at +1e308 takes all the weight; the idle pair at -1e308 no
+        # longer turns the estimate to NaN, and the posterior covariance, whose
+        # second moments overflow, is an error before anything is printed
+        config = self.two_far_means(tmp_path, 1e308)
         assert main(["estimate", "--config", config, "--y", "1e308, 1e308"]) == 1
         captured = capsys.readouterr()
-        assert "zero density under every component pair" in captured.err
-        assert "nan" not in (captured.out + captured.err).lower()
+        assert captured.out == ""
+        assert captured.err == "error: posterior covariance overflows a double\n"
 
     def test_non_finite_y_exit_1(self, capsys):
         assert main(["estimate", "--config", "oracle1d.config", "--y", "nan"]) == 1

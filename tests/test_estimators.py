@@ -261,6 +261,49 @@ class TestResponsibilities:
             )
 
 
+class TestIdlePairs:
+    """A pair of zero responsibility adds nothing to the posterior mean, even a
+    pair whose own mean is not finite."""
+
+    def test_nan_mean_of_idle_pair_is_dropped(self):
+        # At y = (1e308, 1e308) the pair at -1e308 overflows its deviation and
+        # has zero responsibility; its gain product is NaN. The pair at
+        # +1e308 holds all the weight, and its posterior mean is y itself.
+        x = GaussianMixture.from_parameters(
+            [0.5, 0.5], [np.full(2, -1e308), np.full(2, 1e308)], [np.eye(2)] * 2
+        )
+        pre = PrecomputedEstimator(
+            BayesianLinearModel(np.eye(2), x, GaussianMixture.single(np.zeros(2), np.eye(2)))
+        )
+        far = np.full(2, 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            npt.assert_array_equal(pre.responsibilities(far), [[0.0], [1.0]])
+            _, comp_means = pre._posterior_terms(far[None])
+            assert np.isnan(comp_means[0]).all()
+            npt.assert_array_equal(pre.estimate(far), far)
+            npt.assert_array_equal(pre.estimate(np.stack([far, far])), [far, far])
+            post = pre.posterior(far)
+            npt.assert_array_equal(post.mean(), far)
+            # the uncentred second moments overflow: an error, not NaN
+            with pytest.raises(ValidationError, match="posterior covariance overflows"):
+                post.covariance()
+
+    def test_overflowing_live_pair_rejected(self):
+        # One pair, gain 2 (H = 1/2, C_x = 1e306 against unit noise); the
+        # posterior mean x_mean + 2 (y - mu_y) exceeds the largest double.
+        x = GaussianMixture.single(np.full(1, 1.7976e308), np.full((1, 1), 1e306))
+        pre = PrecomputedEstimator(
+            BayesianLinearModel([[0.5]], x, GaussianMixture.single(np.zeros(1), np.eye(1)))
+        )
+        y = pre.obs.means[0] + 5e305
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call in (pre.estimate, lambda y: pre.posterior(y).mean()):
+                with pytest.raises(ValidationError, match="observation 0 has a posterior mean"):
+                    call(y)
+            with pytest.raises(ValidationError, match="observation 1 has a posterior mean"):
+                pre.estimate(np.stack([pre.obs.means[0], y]))
+
+
 def figure1_batch(snr_db: float, rows: int = 4096) -> tuple[PrecomputedEstimator, np.ndarray]:
     """The figure-1 estimator at ``snr_db`` and ``rows`` observations drawn from its model."""
     scaled, _ = calibrate_noise_scale(load_config(packaged_config("figure1.config")).model, snr_db)
@@ -718,6 +761,27 @@ class TestLmmse:
         est = lmmse.estimate(0.7)
         assert est.shape == (1,)
         npt.assert_array_equal(est, lmmse.estimate(np.array([0.7])))
+
+    def test_is_moment_matched_pair_estimate(self):
+        # the LMMSE estimator of a mixture model is the MMSE estimator of the
+        # Gaussian model with the same means and covariances, on the 20 random
+        # models of acceptance criterion 2
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            model = random_model(rng, 1, 1, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+            x, noise = model.x_prior, model.noise
+            pair = PrecomputedEstimator(BayesianLinearModel(
+                model.H,
+                GaussianMixture.single(x.mean(), x.covariance()),
+                GaussianMixture.single(noise.mean(), noise.covariance()),
+            ))
+            obs = observation_mixture(model)
+            sigmas = np.sqrt(obs.covariances[:, 0, 0])
+            ys = np.linspace(np.min(obs.means[:, 0] - 6.0 * sigmas),
+                             np.max(obs.means[:, 0] + 6.0 * sigmas), 101)[:, None]
+            expected = pair.estimate(ys)
+            deviation = np.max(np.abs(LmmseEstimator(model).estimate(ys) - expected))
+            assert deviation <= 1e-12 * np.max(np.abs(expected))
 
     def test_dimension_mismatch(self):
         lmmse = LmmseEstimator(scalar_wiener_model())

@@ -306,27 +306,31 @@ class TestRunSweep:
         # both Monte Carlo arms and both bounds read the MMSE and LMMSE
         # estimators that the point builds once
         counts = Counter()
+        model = oracle_model()
 
-        def spy(owner, name, label):
+        def spy(owner, name, label, when=lambda *args: True):
             real = getattr(owner, name)
 
             def counted(*args, **kwargs):
-                counts[label] += 1
+                counts[label] += when(*args)
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
 
-        spy(PrecomputedEstimator, "__init__", "mmse")
+        # The MMSE precompute is the one of the point's model, whose scaled
+        # noise keeps the signal prior. The one-pair precompute of the
+        # moment-matched Gaussian model is part of building the LMMSE.
+        spy(PrecomputedEstimator, "__init__", "mmse", lambda pre, m: m.x_prior is model.x_prior)
         spy(LmmseEstimator, "__init__", "lmmse")
         spy(mc, "genie_lower_bound", "lower")
         spy(mc, "lmmse_upper_bound", "upper")
-        config = SweepConfig(oracle_model(), (-10.0, 0.0, 10.0, 20.0, 30.0), trials=100, seed=12)
+        config = SweepConfig(model, (-10.0, 0.0, 10.0, 20.0, 30.0), trials=100, seed=12)
         assert all(point.error is None for point in run_sweep(config))
         assert counts == {"mmse": 5, "lmmse": 5, "lower": 5, "upper": 5}
         # estimate_mse builds only the estimator it is asked for
         counts.clear()
-        estimate_mse(oracle_model(), 100, 12, estimator="lmmse")
-        assert counts == {"lmmse": 1}
+        estimate_mse(model, 100, 12, estimator="lmmse")
+        assert +counts == {"lmmse": 1}
 
     @pytest.mark.parametrize("batch", [1000, 4097, 50_000])
     def test_block_size_does_not_change_results(self, monkeypatch, batch):
