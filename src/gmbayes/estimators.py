@@ -25,8 +25,8 @@ double cannot hold (below ``log(tiny)``, ``tiny`` the smallest normal
 double; ``-inf``; or ``nan`` from an overflow in the whitening) is exactly 0
 and never reaches ``exp``. An observation with only such lanes has zero
 density under every pair and raises :class:`ValidationError`. A pair of zero
-responsibility adds nothing to a posterior mean, even where its own mean is
-not finite.
+responsibility adds nothing to a posterior mean or covariance, even where its
+own mean is not finite.
 
 :class:`LmmseEstimator` is the one-pair :class:`PrecomputedEstimator` of the
 moment-matched Gaussian model, for which MMSE and LMMSE coincide.
@@ -56,6 +56,8 @@ __all__ = [
     "PosteriorGM",
     "LmmseEstimator",
 ]
+
+_MEAN_OVERFLOW = "observation {} has a posterior mean that overflows a double"
 
 
 class PrecomputedEstimator:
@@ -175,10 +177,14 @@ class PrecomputedEstimator:
         batch, single = _as_batch(y, self.model.observation_dim, "observation")
         alpha, comp_means = self._posterior_terms(batch)
         if single:
-            est = alpha[:, 0] @ comp_means[:, :, 0]
-            _drop_idle_pairs(est[None], alpha, comp_means)
-            return est
-        return _drop_idle_pairs(np.einsum("pn,pdn->nd", alpha, comp_means), alpha, comp_means)
+            return _live_pairs(np.matmul, alpha[:, 0], comp_means[:, :, 0],
+                               error=_MEAN_OVERFLOW.format(0))
+        means = np.einsum("pn,pdn->nd", alpha, comp_means)
+        if not np.isfinite(means).all():
+            for i in np.flatnonzero(~np.isfinite(means).all(axis=1)):
+                means[i] = _live_pairs(np.matmul, alpha[:, i], comp_means[:, :, i],
+                                       error=_MEAN_OVERFLOW.format(i))
+        return means
 
     def posterior(self, y) -> "PosteriorGM":
         """The full posterior mixture of the signal given a single ``y``."""
@@ -195,25 +201,24 @@ class PrecomputedEstimator:
         )
 
 
-def _drop_idle_pairs(means: np.ndarray, alpha: np.ndarray, comp_means: np.ndarray) -> np.ndarray:
-    """The responsibility-weighted ``(n, d)`` posterior means, with idle pairs adding nothing.
+def _live_pairs(reduce, alpha: np.ndarray, *per_pair: np.ndarray, error: str) -> np.ndarray:
+    """``reduce(alpha, *per_pair)`` over one observation's pairs, with idle pairs adding nothing.
 
-    ``means`` is the reduction of ``(n_pairs, n)`` responsibilities ``alpha``
-    over ``(n_pairs, d, n)`` per-pair means ``comp_means``. A pair of zero
-    responsibility may still carry a non-finite mean (its gain meets an
-    overflowed deviation), which the reduction turns into ``0 * nan``. Only
-    the non-finite rows of ``means`` are redone, in place, over the pairs of
-    nonzero responsibility; a row that is still not finite raises
-    :class:`ValidationError` naming the observation.
+    ``alpha`` holds the ``(n_pairs,)`` responsibilities and each of
+    ``per_pair`` stacks one array per pair along its first axis. A pair of
+    zero responsibility may still carry a non-finite mean (its gain meets an
+    overflowed deviation), which the reduction turns into ``0 * nan``. Only a
+    result that is not finite is reduced again, over the pairs of nonzero
+    responsibility; one that is still not finite raises
+    :class:`ValidationError` with the message ``error``.
     """
-    if np.isfinite(means).all():
-        return means
-    for i in np.flatnonzero(~np.isfinite(means).all(axis=1)):
-        live = alpha[:, i] > 0.0
-        means[i] = alpha[live, i] @ comp_means[live, :, i]
-        if not np.isfinite(means[i]).all():
-            raise ValidationError(f"observation {i} has a posterior mean that overflows a double")
-    return means
+    out = reduce(alpha, *per_pair)
+    if not np.isfinite(out).all():
+        live = alpha > 0.0
+        out = reduce(alpha[live], *(a[live] for a in per_pair))
+        if not np.isfinite(out).all():
+            raise ValidationError(error)
+    return out
 
 
 @dataclass(frozen=True)
@@ -234,27 +239,21 @@ class PosteriorGM:
     def mean(self) -> np.ndarray:
         """Posterior mean; identical to the MMSE estimate at this observation."""
         d = self.component_means.shape[-1]
-        alpha = self.responsibilities.reshape(-1)
-        means = self.component_means.reshape(-1, d)
-        mean = alpha @ means
-        _drop_idle_pairs(mean[None], alpha[:, None], means[:, :, None])
-        return mean
+        return _live_pairs(np.matmul, self.responsibilities.reshape(-1),
+                           self.component_means.reshape(-1, d), error=_MEAN_OVERFLOW.format(0))
 
     def covariance(self) -> np.ndarray:
         """Posterior covariance: the mixture covariance of the posterior components.
 
-        Raises :class:`ValidationError` where it overflows a double (its
-        second moments do once a component mean nears the largest double).
+        Idle pairs add nothing. Raises :class:`ValidationError` where it overflows
+        a double (its second moments do once a live component mean nears the
+        largest double).
         """
         d = self.component_means.shape[-1]
-        cov = _mixture_covariance(
-            self.responsibilities.reshape(-1),
-            self.component_means.reshape(-1, d),
-            self.component_covariances.reshape(-1, d, d),
-        )
-        if not np.isfinite(cov).all():
-            raise ValidationError("posterior covariance overflows a double")
-        return cov
+        return _live_pairs(_mixture_covariance, self.responsibilities.reshape(-1),
+                           self.component_means.reshape(-1, d),
+                           self.component_covariances.reshape(-1, d, d),
+                           error="posterior covariance overflows a double")
 
 
 class LmmseEstimator:

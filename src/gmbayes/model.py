@@ -30,6 +30,8 @@ __all__ = [
     "calibrate_noise_scale",
 ]
 
+_TINY = np.finfo(float).tiny  # the smallest normal double
+
 
 class BayesianLinearModel:
     """Problem instance: observation matrix plus signal and noise mixtures.
@@ -150,14 +152,19 @@ def calibrate_noise_scale(model: BayesianLinearModel, target_snr_db: float) -> t
     if not math.isfinite(target_snr_db):
         raise ValidationError(f"target SNR {target_snr_db} dB is not finite")
     # a = sqrt(E||x||^2 / E||n||^2) * 10^(-snr_db/20), computed in log10 to
-    # survive extreme targets; the scale must still be a normal double.
+    # survive extreme targets. The scaled noise must be a valid mixture whose
+    # variances are normal doubles: a subnormal one has lost the precision the
+    # calibration relies on. A scale whose noise overflows is this error too,
+    # so numpy's overflow warnings are off.
     log10_factor = 0.5 * math.log10(snr(model)) - target_snr_db / 20.0
     try:
         factor = 10.0 ** log10_factor
-    except OverflowError:
-        factor = math.inf
-    if not (math.isfinite(factor) and factor > 0.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = scale_noise(model, factor)
+    except (OverflowError, ValidationError):
+        scaled = None
+    if scaled is None or np.diagonal(scaled.noise.covariances, axis1=1, axis2=2).min() < _TINY:
         raise ValidationError(
             f"target SNR {target_snr_db} dB gives unusable noise scale 1e{log10_factor:.3g}"
         )
-    return scale_noise(model, factor), factor
+    return scaled, factor

@@ -16,7 +16,9 @@ Reproducibility contract:
   arms). The signal and the noise are drawn once; the point then runs in
   blocks of ``_BATCH`` (4096) rows, each forming its observations, running
   every estimator and squaring their errors while its arrays are in cache.
-  The results do not depend on the block size.
+  No block has a single row: numpy's products round a one-row operand
+  differently, so where the trial count would leave one, the last block
+  starts a row earlier. The results do not depend on the block size.
 * Squared errors are reduced by an exact sum: the correctly rounded value of
   the exact real sum, equal to ``math.fsum`` bit for bit. Bucketing the terms
   by binary exponent makes it independent of term order and block size, so
@@ -92,7 +94,9 @@ def _squared_errors(model: BayesianLinearModel, trials: int, seed: int, arms) ->
     noise = model.noise.sample(trials, derive_seed(seed, "noise"))
     errors = [np.empty(trials) for _ in arms]
     for start in range(0, trials, _BATCH):
-        rows = slice(start, start + _BATCH)
+        # numpy's products round a one-row operand differently, so a last block
+        # of one row starts a row earlier, recomputing the block before's last row
+        rows = slice(min(start, trials - 2), start + _BATCH)
         x_rows = x[rows]
         y = x_rows @ model.H.T
         y += noise[rows]

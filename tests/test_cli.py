@@ -125,6 +125,13 @@ class TestEstimate:
         assert main(["estimate", "--config", config, "--y", " "]) == 1
         assert "empty observation vector" in capsys.readouterr().err
 
+    def test_unparsable_y_exit_1(self, tmp_path, capsys):
+        config = write_config(tmp_path, SCALAR_GAUSSIAN)
+        assert main(["estimate", "--config", config, "--y", "1, abc"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad observation vector")
+
     @pytest.mark.parametrize("config, y", [
         ("figure1.config", "1e200,1e200,1e200,1e200,1e200"),
         ("oracle1d.config", "1e170"),
@@ -169,6 +176,23 @@ class TestEstimate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: posterior covariance overflows a double\n"
+
+    def test_idle_overflowing_pair_covariance_exit_0(self, tmp_path, capsys):
+        # the idle pair at -1e308 overflows its mean to inf; the posterior
+        # covariance, like the estimate, is taken over the live pair only
+        config = write_config(tmp_path, {"model": {
+            "H": [[1.0]],
+            "x": [{"weight": 0.5, "mean": [-1e308], "covariance": [[1.0]]},
+                  {"weight": 0.5, "mean": [0.0], "covariance": [[1.0]]}],
+            "noise": [{"weight": 1.0, "mean": [0.0], "covariance": [[1e308]]}],
+        }})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["estimate", "--config", config, "--y", "9e307"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "xhat = [0.9]\n" in captured.out
+        assert captured.out.endswith("Tr(C_x|y) = 1\n")
 
     def test_non_finite_y_exit_1(self, capsys):
         assert main(["estimate", "--config", "oracle1d.config", "--y", "nan"]) == 1

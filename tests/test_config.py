@@ -112,6 +112,21 @@ class TestParseErrors:
         doc["model"]["x"][0]["covariance"] = [[-1.0]]
         self.check(json.dumps(doc), "model.x", "positive definite")
 
+    @pytest.mark.parametrize("field, value, path, fragment", [
+        ("mean", [], "model.x[0].mean", "expected a non-empty list of numbers"),
+        ("covariance", [], "model.x[0].covariance", "expected a non-empty list of rows"),
+        ("x", [], "model.x", "expected a non-empty list of components"),
+        ("noise", [], "model.noise", "expected a non-empty list of components"),
+        ("H", [[1.0, 0.0]], "model", "observation matrix has 2 columns, signal dimension is 1"),
+    ])
+    def test_bad_model_field(self, field, value, path, fragment):
+        doc = json.loads(json.dumps(MINIMAL))
+        if field in ("mean", "covariance"):
+            doc["model"]["x"][0][field] = value
+        else:
+            doc["model"][field] = value
+        self.check(json.dumps(doc), path, fragment)
+
     def test_second_mixture_component_named(self):
         doc = json.loads(json.dumps(MINIMAL))
         doc["model"]["noise"] = [
@@ -150,6 +165,13 @@ class TestParseErrors:
             "trials": 5, "seed": 0, "estimators": ["mmse", "map"],
         })
         self.check(text, "sweep.estimators[1]", "")
+
+    def test_sweep_estimators_not_a_list(self):
+        text = variant(sweep={
+            "snr_db_start": 0, "snr_db_stop": 1, "snr_db_step": 1,
+            "trials": 5, "seed": 0, "estimators": "mmse",
+        })
+        self.check(text, "sweep.estimators", "expected a list of estimator names")
 
     def test_estimator_names_one_rule(self):
         # the file, SweepConfig and estimate_mse give the one rule's message

@@ -288,6 +288,21 @@ class TestIdlePairs:
             with pytest.raises(ValidationError, match="posterior covariance overflows"):
                 post.covariance()
 
+    def test_idle_overflowing_pair_leaves_covariance(self):
+        # H = 1, signal components at -1e308 and 0, noise variance 1e308: at
+        # y = 9e307 the pair at -1e308 is idle and its mean overflows to inf.
+        # Over the live pair the posterior covariance is 1e308 / (1e308 + 1).
+        x = GaussianMixture.from_parameters([0.5, 0.5], [-1e308, 0.0], [1.0, 1.0])
+        pre = PrecomputedEstimator(
+            BayesianLinearModel([[1.0]], x, GaussianMixture.single(0.0, 1e308))
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            post = pre.posterior(9e307)
+            npt.assert_array_equal(post.responsibilities, [[0.0], [1.0]])
+            npt.assert_array_equal(post.component_means[:, 0, 0], [np.inf, 0.9])
+            npt.assert_array_equal(post.mean(), [0.9])
+            npt.assert_allclose(post.covariance(), [[1.0]], rtol=0, atol=1e-12)
+
     def test_overflowing_live_pair_rejected(self):
         # One pair, gain 2 (H = 1/2, C_x = 1e306 against unit noise); the
         # posterior mean x_mean + 2 (y - mu_y) exceeds the largest double.

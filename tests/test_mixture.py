@@ -102,6 +102,10 @@ class TestValidation:
             )
         with pytest.raises(ValidationError, match="does not match dimension 2"):
             GaussianMixture.single(np.zeros(2), np.eye(3))
+        with pytest.raises(ValidationError, match=r"means shape \(3, 1\) does not match weights shape \(2,\)"):
+            GaussianMixture([0.5, 0.5], np.zeros((3, 1)), np.ones((2, 1, 1)))
+        with pytest.raises(ValidationError, match="parameter lists disagree: 2 weights, 1 means, 2 covariances"):
+            GaussianMixture.from_parameters([0.5, 0.5], [np.zeros(1)], [np.eye(1)] * 2)
 
     def test_empty_mixture_rejected(self):
         with pytest.raises(ValidationError, match="at least one"):
@@ -486,6 +490,15 @@ class TestAffineTransform:
         with pytest.raises(ValidationError, match="rank deficient"):
             affine_transform(mix, d)
 
+    @pytest.mark.parametrize("transform, offset, message", [
+        (np.ones((2, 3)), None, "transform has 3 columns, mixture dimension is 2"),
+        ([[1.0, np.inf], [0.0, 1.0]], None, "transform has non-finite entries"),
+        (np.eye(2), np.zeros(3), r"offset shape \(3,\) != \(2,\)"),
+    ])
+    def test_bad_arguments_rejected(self, transform, offset, message):
+        with pytest.raises(ValidationError, match=message):
+            affine_transform(single_standard(2), transform, offset)
+
     def test_projection_to_lower_dimension(self):
         mix = random_mixture(np.random.default_rng(9), 3, 2)
         d = np.array([[1.0, 2.0, -1.0]])
@@ -561,6 +574,14 @@ class TestMarginal:
         with pytest.raises(ValidationError, match="empty"):
             marginal(mix, slice(1, 1))
 
+    @pytest.mark.parametrize("keep, message", [
+        (0, "keep must be a slice"),
+        (slice(0, 3, 2), r"keep must be contiguous \(step 1\)"),
+    ])
+    def test_bad_keep_rejected(self, keep, message):
+        with pytest.raises(ValidationError, match=message):
+            marginal(single_standard(3), keep)
+
 
 class TestPerComponentReference:
     """The stacked transforms, inverse factors and moments equal a
@@ -616,6 +637,10 @@ class TestCharacteristicFunction:
     def test_at_zero(self):
         mix = random_mixture(np.random.default_rng(14), 3, 3)
         assert mix.characteristic_function(np.zeros(3)) == pytest.approx(1.0 + 0.0j)
+
+    def test_wrong_t_shape_rejected(self):
+        with pytest.raises(ValidationError, match=r"t shape \(2,\) != \(3,\)"):
+            single_standard(3).characteristic_function(np.zeros(2))
 
     def test_standard_normal(self):
         value = single_standard().characteristic_function(np.array([1.0]))

@@ -1,6 +1,8 @@
 """Tests for the Bayesian linear model layer: observation/joint mixtures,
 SNR accounting, and noise-scale calibration."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,8 +13,10 @@ from gmbayes import (
     ValidationError,
     calibrate_noise_scale,
     joint_xy_mixture,
+    load_config,
     marginal,
     observation_mixture,
+    packaged_config,
     scale_noise,
     snr,
     snr_db,
@@ -203,6 +207,19 @@ class TestCalibration:
         model = scalar_wiener_model()
         with pytest.raises(ValidationError, match="unusable"):
             calibrate_noise_scale(model, -20000.0)
+
+    @pytest.mark.parametrize("target", [3200.0, 3300.0, 6160.0, -6100.0])
+    def test_scaled_noise_a_double_cannot_hold_rejected(self, target):
+        # On figure-1 the scale itself is a double, but the scaled noise
+        # variance is subnormal (3200 dB, 1.6e-317), underflows (3300, 6160
+        # dB) or overflows (-6100 dB): the error names the unusable scale and
+        # nothing warns on the way.
+        model = load_config(packaged_config("figure1.config")).model
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            calibrate_noise_scale(model, 3100.0)  # variance 1.6e-307, still normal
+            with pytest.raises(ValidationError, match=f"target SNR {target} dB gives unusable noise scale"):
+                calibrate_noise_scale(model, target)
 
 
 class TestScaleNoise:

@@ -332,16 +332,29 @@ class TestRunSweep:
         estimate_mse(model, 100, 12, estimator="lmmse")
         assert +counts == {"lmmse": 1}
 
-    @pytest.mark.parametrize("batch", [1000, 4097, 50_000])
-    def test_block_size_does_not_change_results(self, monkeypatch, batch):
+    @pytest.mark.parametrize("batch, trials", [
+        (1000, None), (4097, None), (50_000, None), (2, 4097), (1000, 4097), (4097, 4097),
+    ], ids=["1000", "4097", "50000", "2-trials4097", "1000-trials4097", "4097-trials4097"])
+    def test_block_size_does_not_change_results(self, monkeypatch, batch, trials):
         # A point runs its trials in blocks of _BATCH rows; every result is
         # bit-identical to the one at the default 4096. The oracle1d sweep
         # gets 10,000 trials so that each block size splits it differently.
+        # At 4097 trials the default blocking would leave a last block of one
+        # row, which numpy's products round differently.
         figure1 = load_config(packaged_config("figure1.config")).sweep_config()
-        configs = [
-            dataclasses.replace(figure1, snr_db_grid=(-10.0, 20.0, 50.0)),
-            load_config(packaged_config("oracle1d.config")).sweep_config(trials=10_000),
-        ]
+        oracle1d = load_config(packaged_config("oracle1d.config")).sweep_config()
+        if trials is None:
+            configs = [
+                dataclasses.replace(figure1, snr_db_grid=(-10.0, 20.0, 50.0)),
+                dataclasses.replace(oracle1d, trials=10_000),
+            ]
+        else:
+            configs = [
+                dataclasses.replace(base, snr_db_grid=grid, trials=trials, seed=seed)
+                for base, grid, seeds in [(figure1, (30.0, 40.0), (4, 11)),
+                                          (oracle1d, (40.0, 50.0), (0, 19))]
+                for seed in seeds
+            ]
         assert mc._BATCH == 4096
         expected = [run_sweep(config) for config in configs]
         monkeypatch.setattr(mc, "_BATCH", batch)

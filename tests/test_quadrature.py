@@ -205,6 +205,14 @@ class TestQuadPosteriorMean:
         with pytest.raises(ValidationError, match="y = 1e\\+200 outside numerical support of the grid"):
             quad_posterior_mean(model, 1e200, QuadratureSpec(1001))
 
+    @pytest.mark.parametrize("y, message", [
+        (np.zeros((2, 1)), r"y must be scalar or 1-D, got shape \(2, 1\)"),
+        ([0.0, np.nan], "y has non-finite entries"),
+    ])
+    def test_bad_y_rejected(self, y, message):
+        with pytest.raises(ValidationError, match=message):
+            quad_posterior_mean(scalar_wiener_model(), y, SPEC)
+
     def test_non_1d_model_rejected(self):
         model = random_model(np.random.default_rng(0), 2, 2, 2, 1)
         with pytest.raises(ValidationError, match="1-D"):
