@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import genie_lower_bound, lmmse_upper_bound
-from .config import ConfigError, load_config, packaged_config
+from .config import ConfigError, RunConfig, load_config, packaged_config
 from .estimators import LmmseEstimator, PrecomputedEstimator
 from .mixture import ValidationError
 from .model import snr, snr_db
@@ -61,8 +61,7 @@ def _parse_estimators(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(","))
 
 
-def cmd_validate(args) -> int:
-    run = load_config(args.config)
+def cmd_validate(args, run: RunConfig) -> int:
     model = run.model
     print(f"config: {args.config}")
     print(f"signal dimension d = {model.signal_dim}")
@@ -85,8 +84,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_estimate(args) -> int:
-    run = load_config(args.config)
+def cmd_estimate(args, run: RunConfig) -> int:
     pre = PrecomputedEstimator(run.model)
     y = _parse_y(args.y)
     posterior = pre.posterior(y)
@@ -103,8 +101,7 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    run = load_config(args.config)
+def cmd_sweep(args, run: RunConfig) -> int:
     estimators = _parse_estimators(args.estimators) if args.estimators is not None else None
     config = run.sweep_config(trials=args.trials, seed=args.seed, estimators=estimators)
     points = run_sweep(config, workers=args.workers)
@@ -119,8 +116,7 @@ def cmd_sweep(args) -> int:
     return 1 if failed else 0
 
 
-def cmd_oracle_check(args) -> int:
-    run = load_config(args.config)
+def cmd_oracle_check(args, run: RunConfig) -> int:
     model = run.model
     spec = QuadratureSpec(grid_points=args.grid_points)
     pre = PrecomputedEstimator(model)
@@ -211,7 +207,7 @@ def main(argv=None) -> int:
         # Results that overflow a double are validation errors, checked where
         # they arise; numpy's warnings on the way there are noise here.
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            return args.func(args, load_config(args.config))
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -116,19 +116,31 @@ def joint_xy_mixture(model: BayesianLinearModel) -> GaussianMixture:
     return affine_transform(stacked, np.vstack([top, bottom]))
 
 
+def _second_moments(model: BayesianLinearModel) -> tuple[float, float]:
+    """``E||x||^2`` and ``E||n||^2``, each checked positive: a mixture of
+    subnormal covariances passes the constructor, yet its weighted moment can
+    round to zero."""
+    moments = model.x_prior.second_moment_trace(), model.noise.second_moment_trace()
+    for name, value in zip(("signal", "noise"), moments):
+        if not value > 0.0:
+            raise ValidationError(f"{name} second moment {value:.6g} is not positive")
+    return moments
+
+
 def snr(model: BayesianLinearModel) -> float:
     """Signal-to-noise ratio ``E||x||^2 / E||n||^2`` (linear scale).
 
     Second moments include the mixture means: ``trace(C) + ||u||^2``.
     """
-    denom = model.noise.second_moment_trace()
-    if denom <= 0.0:
-        raise ValidationError("noise second moment is zero")
-    return model.x_prior.second_moment_trace() / denom
+    signal, noise = _second_moments(model)
+    return signal / noise
 
 
 def snr_db(model: BayesianLinearModel) -> float:
-    return 10.0 * math.log10(snr(model))
+    """:func:`snr` in dB, from the two second moments' logarithms, so it stays
+    finite where the linear ratio overflows a double."""
+    signal, noise = _second_moments(model)
+    return 10.0 * (math.log10(signal) - math.log10(noise))
 
 
 def scale_noise(model: BayesianLinearModel, factor: float) -> BayesianLinearModel:
@@ -155,7 +167,9 @@ def calibrate_noise_scale(model: BayesianLinearModel, target_snr_db: float) -> t
     # survive extreme targets. The scaled noise must be a valid mixture whose
     # variances are normal doubles: a subnormal one has lost the precision the
     # calibration relies on. A scale whose noise overflows is this error too,
-    # so numpy's overflow warnings are off.
+    # so numpy's overflow warnings are off. The log of the linear ratio, not
+    # snr_db's log difference, sets the pinned noise-scale column's last bit;
+    # switch to snr_db's form when the figure-1 digest is next re-recorded.
     log10_factor = 0.5 * math.log10(snr(model)) - target_snr_db / 20.0
     try:
         factor = 10.0 ** log10_factor

@@ -5,6 +5,10 @@ builds its MMSE and LMMSE estimators once. The empirical MSE of each
 requested estimator averages its squared errors over freshly drawn (signal,
 noise) pairs, and the analytic bounds read the same two estimators: the
 genie lower bound the MMSE one, the LMMSE upper bound the LMMSE one.
+A point fails, with its reason, where the noise scale for its SNR is not
+usable or where either bound is not positive: both bounds are differences
+that rounding takes to zero or below at extreme SNR, and the point then
+spends no Monte Carlo work.
 
 Reproducibility contract:
 
@@ -204,8 +208,8 @@ class SweepConfig:
 class SweepPoint:
     """Result record for one SNR grid point (linear-scale MSE values).
 
-    ``error`` is set (and the estimator fields are None) when the point
-    failed; the sweep itself continues.
+    ``error`` is set (and the bound and estimator fields are None) when the
+    point failed; the sweep itself continues.
     """
 
     snr_db: float
@@ -225,6 +229,12 @@ def _run_point(config: SweepConfig, index: int) -> SweepPoint:
     try:
         scaled, scale = calibrate_noise_scale(config.model, snr_db)
         arms = {"mmse": PrecomputedEstimator(scaled), "lmmse": LmmseEstimator(scaled)}
+        lower, upper = genie_lower_bound(arms["mmse"]), lmmse_upper_bound(arms["lmmse"])
+        if not (lower > 0.0 and upper > 0.0):
+            raise ValidationError(
+                f"MSE bounds lost to rounding: genie lower {lower:.6g}, "
+                f"lmmse upper {upper:.6g}; both must be positive"
+            )
         values: dict[str, tuple[float, float]] = {}
         if config.estimators:
             seed_point = derive_seed(config.seed, "point", index)
@@ -236,8 +246,8 @@ def _run_point(config: SweepConfig, index: int) -> SweepPoint:
         return SweepPoint(
             snr_db=snr_db,
             noise_scale=scale,
-            lower=genie_lower_bound(arms["mmse"]),
-            upper=lmmse_upper_bound(arms["lmmse"]),
+            lower=lower,
+            upper=upper,
             mse_mmse=mmse[0],
             stderr_mmse=mmse[1],
             mse_lmmse=lmmse[0],

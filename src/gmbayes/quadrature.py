@@ -63,12 +63,15 @@ class QuadratureSpec:
             )
 
 
-def _check_scalar_model(model: BayesianLinearModel):
+def _x_grid(model: BayesianLinearModel, spec: QuadratureSpec):
+    """The x grid of a 1-D model, the log prior on it and its moment weights."""
     if model.signal_dim != 1 or model.observation_dim != 1:
         raise ValidationError(
             "quadrature oracle supports 1-D models only; got signal dim "
             f"{model.signal_dim}, observation dim {model.observation_dim}"
         )
+    grid = support_grid(model.x_prior, SPAN_SIGMAS, spec.grid_points)
+    return grid, model.x_prior.log_density(grid), _moment_weights(grid)
 
 
 def _support_interval(mixture: GaussianMixture, span_sigmas: float) -> tuple[float, float]:
@@ -122,16 +125,13 @@ def quad_posterior_mean(
     posterior mass at some requested ``y`` underflows the support floor,
     i.e. the observation lies outside the grid's numerical support.
     """
-    _check_scalar_model(model)
+    grid, log_prior, moment_weights = _x_grid(model, spec)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
     if y_arr.ndim != 1:
         raise ValidationError(f"y must be scalar or 1-D, got shape {np.shape(y)}")
     if not np.all(np.isfinite(y_arr)):
         raise ValidationError("y has non-finite entries")
     h = model.H[0, 0]
-    grid = support_grid(model.x_prior, SPAN_SIGMAS, spec.grid_points)
-    log_prior = model.x_prior.log_density(grid)
-    moment_weights = _moment_weights(grid)
     means = np.empty_like(y_arr)
     block_rows = max(1, _RESIDUALS_PER_BLOCK // grid.size)
     for start in range(0, y_arr.size, block_rows):
@@ -171,11 +171,8 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
     instead, formed from the same node indices by broadcasting, so memory
     stays O(rows x grid) either way and no index array of that size exists.
     """
-    _check_scalar_model(model)
+    x_grid, log_prior, moment_weights = _x_grid(model, spec)
     h = float(model.H[0, 0])
-    x_grid = support_grid(model.x_prior, SPAN_SIGMAS, spec.grid_points)
-    log_prior = model.x_prior.log_density(x_grid)
-    moment_weights = _moment_weights(x_grid)
     size = x_grid.size
     dx = (x_grid[-1] - x_grid[0]) / (size - 1)
     step = abs(h) * dx if h != 0.0 else dx

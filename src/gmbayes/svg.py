@@ -30,7 +30,7 @@ _SERIES = (
 def _nice_step(span: float, target: int = 6) -> float:
     raw = span / max(target, 1)
     power = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
+    for mult in (1.0, 2.0, 5.0):
         if raw <= mult * power:
             return mult * power
     return 10.0 * power

@@ -70,6 +70,24 @@ def random_model(
     )
 
 
+def asymptotics_model() -> BayesianLinearModel:
+    """Random model with invertible H, built to stay numerically meaningful
+    at +/-120 dB: clustered signal means and small component covariances keep
+    the deviation terms far below the 1e-6 tolerances."""
+    rng = np.random.default_rng(2024)
+    d = 3
+    H = 2.0 * np.eye(d) + 0.2 * rng.standard_normal((d, d))
+    base = rng.standard_normal(d)
+    base *= 6.0 / np.linalg.norm(base)
+    means = [base + 0.8 * rng.standard_normal(d) for _ in range(3)]
+    covs = [random_spd(rng, d, s) for s in (0.01, 0.02, 0.03)]
+    x = GaussianMixture.from_parameters((0.5, 0.3, 0.2), means, covs)
+    noise_means = [0.02 * rng.standard_normal(d) for _ in range(2)]
+    noise_covs = [random_spd(rng, d, s) for s in (1.0, 0.7)]
+    noise = GaussianMixture.from_parameters((0.6, 0.4), noise_means, noise_covs)
+    return BayesianLinearModel(H, x, noise)
+
+
 def parts(mixture: GaussianMixture):
     """The ``(weight, mean, covariance)`` triples of a mixture, in order."""
     return zip(mixture.weights, mixture.means, mixture.covariances)

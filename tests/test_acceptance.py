@@ -42,7 +42,6 @@ import numpy.testing as npt
 
 from gmbayes import (
     GaussianMixture,
-    BayesianLinearModel,
     LmmseEstimator,
     PrecomputedEstimator,
     QuadratureSpec,
@@ -62,7 +61,7 @@ from gmbayes import (
 )
 from gmbayes.cli import main as cli_main
 
-from conftest import random_mixture, random_model, random_spd
+from conftest import asymptotics_model, random_mixture, random_model, random_spd
 
 
 @contextmanager
@@ -195,24 +194,6 @@ def test_criterion_3_reference_sweep(capsys, suite):
         details["-10 dB gap to upper"] = f"{db_gap_upper:.3f} dB (tol 0.5)"
         details["worst >=20 dB gap to lower"] = f"{worst_db_gap:.3f} dB (tol 1)"
         details["worst LMMSE z"] = f"{worst_z:.2f} (tol 3)"
-
-
-def asymptotics_model() -> BayesianLinearModel:
-    """Random model with invertible H, built to stay numerically meaningful
-    at +/-120 dB: clustered signal means and small component covariances keep
-    the deviation terms far below the 1e-6 tolerances."""
-    rng = np.random.default_rng(2024)
-    d = 3
-    H = 2.0 * np.eye(d) + 0.2 * rng.standard_normal((d, d))
-    base = rng.standard_normal(d)
-    base *= 6.0 / np.linalg.norm(base)
-    means = [base + 0.8 * rng.standard_normal(d) for _ in range(3)]
-    covs = [random_spd(rng, d, s) for s in (0.01, 0.02, 0.03)]
-    x = GaussianMixture.from_parameters((0.5, 0.3, 0.2), means, covs)
-    noise_means = [0.02 * rng.standard_normal(d) for _ in range(2)]
-    noise_covs = [random_spd(rng, d, s) for s in (1.0, 0.7)]
-    noise = GaussianMixture.from_parameters((0.6, 0.4), noise_means, noise_covs)
-    return BayesianLinearModel(H, x, noise)
 
 
 def test_criterion_4_asymptotics(capsys):

@@ -16,8 +16,10 @@ import pytest
 
 import gmbayes.cli
 import gmbayes.montecarlo
-from gmbayes import SWEEP_CSV_HEADER, parse_sweep_csv
+from gmbayes import SWEEP_CSV_HEADER, packaged_config, parse_sweep_csv
 from gmbayes.cli import main
+
+from conftest import asymptotics_model, parts
 
 SCALAR_GAUSSIAN = {
     "model": {
@@ -43,6 +45,19 @@ def write_config(tmp_path, doc, name="model.config"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def config_doc(model, sweep: dict) -> dict:
+    """The config document of ``model`` with the given ``sweep`` section."""
+    def components(mixture):
+        return [
+            {"weight": float(w), "mean": mean.tolist(), "covariance": cov.tolist()}
+            for w, mean, cov in parts(mixture)
+        ]
+
+    return {"model": {"H": model.H.tolist(), "x": components(model.x_prior),
+                      "noise": components(model.noise)},
+            "sweep": sweep}
 
 
 class TestValidate:
@@ -79,6 +94,23 @@ class TestValidate:
     def test_missing_config_exit_1(self, capsys):
         assert main(["validate", "--config", "/no/such/file.config"]) == 1
         assert "config file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "sweep"])
+    def test_noise_second_moment_rounding_to_zero_exit_1(self, tmp_path, capsys, command):
+        # Each component's variance, 5e-324, factors (its root is 2.2e-162),
+        # but half of it rounds to 0, so E||n||^2 is exactly 0.
+        doc = json.loads(json.dumps(SCALAR_GAUSSIAN))
+        doc["model"]["noise"] = [
+            {"weight": 0.5, "mean": [0.0], "covariance": [[5e-324]]},
+            {"weight": 0.5, "mean": [0.0], "covariance": [[5e-324]]},
+        ]
+        doc["sweep"] = {"snr_db_start": 0.0, "snr_db_stop": 0.0, "snr_db_step": 1.0,
+                        "trials": 10, "seed": 0}
+        argv = [command, "--config", write_config(tmp_path, doc)]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 1
+        assert "noise second moment 0 is not positive" in capsys.readouterr().err
 
 
 class TestEstimate:
@@ -305,6 +337,24 @@ class TestSweep:
         # the CSV is still written, with the failure recorded as a comment
         assert "# point at -20000 dB failed" in out.read_text()
 
+    def test_bounds_lost_to_rounding_exit_1(self, tmp_path, capsys):
+        # At 190 and 200 dB the upper bound of this model rounds to -2.2e-16;
+        # the points fail with that reason, where the CSV's dB conversion
+        # used to stop the run with an internal error and no CSV.
+        sweep = {"snr_db_start": 190.0, "snr_db_stop": 200.0, "snr_db_step": 10.0,
+                 "trials": 100, "seed": 0}
+        config = write_config(tmp_path, config_doc(asymptotics_model(), sweep))
+        out = tmp_path / "high.csv"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("failed: MSE bounds lost to rounding") == 2
+        text = out.read_text()
+        for snr_db in (190, 200):
+            assert f"# point at {snr_db} dB failed: MSE bounds lost to rounding" in text
+        rows = parse_sweep_csv(text)
+        assert [row.snr_db for row in rows] == [190.0, 200.0]
+        assert all(row.lower_db is None and row.upper_db is None for row in rows)
+
     def test_unwritable_output_exit_2(self, tmp_path, capsys):
         out = tmp_path / "missing-dir" / "a.csv"
         code = main(["sweep", "--config", "oracle1d.config", "--out", str(out),
@@ -354,6 +404,20 @@ class TestOracleCheck:
             re.search(r"max \|analytic - quadrature posterior mean\| = (\S+)", out).group(1)
         )
         assert deviation == pytest.approx(1e-3, rel=1e-3)
+
+    def test_quad_mse_outside_bounds_fails(self, tmp_path, capsys):
+        # Noise standard deviations 100 times smaller: the posterior is too
+        # narrow for a 1001-point x grid, and quad_mse (about 1.3e-5) falls
+        # below the genie lower bound (about 6.0e-5).
+        doc = json.loads(packaged_config("oracle1d.config").read_text())
+        for component in doc["model"]["noise"]:
+            component["mean"] = [0.01 * v for v in component["mean"]]
+            component["covariance"] = [[1e-4 * component["covariance"][0][0]]]
+        config = write_config(tmp_path, doc)
+        assert main(["oracle-check", "--config", config, "--grid-points", "1001"]) == 1
+        out = capsys.readouterr().out
+        assert "quad_mse escapes [lower, upper]" in out
+        assert out.endswith("FAIL (tolerance 1e-06)\n")
 
     def test_multidimensional_model_rejected(self, capsys):
         assert main(["oracle-check", "--config", "figure1.config"]) == 1

@@ -166,6 +166,23 @@ class TestSnr:
         model = BayesianLinearModel(np.eye(2), x, n)
         assert snr(model) == pytest.approx(13.5, rel=1e-14)
 
+    def test_snr_db_finite_where_linear_ratio_overflows(self):
+        # At 3090 dB the linear ratio, 10^309, exceeds the largest double;
+        # the dB value is a difference of the two second moments' logarithms.
+        model = load_config(packaged_config("figure1.config")).model
+        scaled, _ = calibrate_noise_scale(model, 3090.0)
+        assert snr_db(scaled) == pytest.approx(3090.0, rel=1e-9)
+
+    @pytest.mark.parametrize("func", [snr, snr_db, lambda m: calibrate_noise_scale(m, 0.0)])
+    def test_second_moment_rounding_to_zero_rejected(self, func):
+        # 0.5 * 5e-324 rounds to 0, so this valid two-component noise has
+        # E||n||^2 == 0 exactly.
+        x = GaussianMixture.single(np.zeros(1), np.eye(1))
+        noise = GaussianMixture.from_parameters((0.5, 0.5), [[0.0], [0.0]], [[[5e-324]]] * 2)
+        model = BayesianLinearModel(np.eye(1), x, noise)
+        with pytest.raises(ValidationError, match="noise second moment 0 is not positive"):
+            func(model)
+
 
 class TestCalibration:
     def test_unit_case(self):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -25,7 +26,7 @@ from gmbayes import (
     run_sweep,
 )
 
-from conftest import random_model
+from conftest import asymptotics_model, random_model
 
 
 def scalar_wiener_model() -> BayesianLinearModel:
@@ -379,6 +380,33 @@ class TestRunSweep:
         assert points[0].error is None
         assert points[1].error is not None and "unusable" in points[1].error
         assert np.isnan(points[1].noise_scale)
+
+    def test_bounds_lost_to_rounding_fail_the_point(self, monkeypatch):
+        # Both bounds are differences that rounding takes to zero or below at
+        # extreme SNR: on the asymptotics model the upper bound is -2.2e-16 at
+        # 190 and 200 dB, and on figure-1 the lower bound is exactly 0 at 200
+        # dB. Such a point fails with both values, before any Monte Carlo work.
+        runs = []
+        real = mc._squared_errors
+
+        def counted(*args):
+            runs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mc, "_squared_errors", counted)
+        figure1 = load_config(packaged_config("figure1.config")).model
+        configs = [SweepConfig(asymptotics_model(), (150.0, 190.0, 200.0), trials=10, seed=0),
+                   SweepConfig(figure1, (200.0,), trials=10, seed=0)]
+        kept, *failed = [point for config in configs for point in run_sweep(config)]
+        assert kept.error is None and kept.lower > 0.0 and kept.upper > 0.0
+        assert len(runs) == 1
+        pattern = (r"MSE bounds lost to rounding: genie lower (\S+), "
+                   r"lmmse upper (\S+); both must be positive")
+        for point in failed:
+            lower, upper = map(float, re.fullmatch(pattern, point.error).groups())
+            assert not (lower > 0.0 and upper > 0.0)
+            assert point.lower is None and point.upper is None and point.mse_mmse is None
+            assert math.isfinite(point.noise_scale)
 
     def test_point_matches_standalone_estimate(self):
         # a sweep point reproduces estimate_mse on the calibrated model with

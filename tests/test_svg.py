@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from gmbayes import (
+    SweepConfig,
     SweepPoint,
     ValidationError,
     load_config,
@@ -56,6 +57,20 @@ class TestRenderSweepSvg:
             for pair in poly.get("points").split():
                 x, y = map(float, pair.split(","))
                 assert 0 <= x <= 800 and 0 <= y <= 600
+
+    def test_one_point_sweep_has_finite_coordinates(self):
+        # snr_db_start == snr_db_stop: the x range is widened to 1 dB either side
+        model = load_config(packaged_config("oracle1d.config")).model
+        root = ET.fromstring(render_sweep_svg(run_sweep(SweepConfig(model, (5.0,), 100, 0))))
+        coordinates = []
+        for element in root.iter():
+            coordinates += [float(element.get(a)) for a in ("x", "y", "x1", "y1", "x2", "y2")
+                            if element.get(a) is not None]
+            if element.get("points") is not None:
+                coordinates += [float(v) for pair in element.get("points").split()
+                                for v in pair.split(",")]
+        assert len(root.findall(f"{SVG_NS}polyline")) == 4
+        assert coordinates and all(math.isfinite(c) for c in coordinates)
 
     def test_failed_points_skipped(self):
         points = sample_points()
