@@ -11,7 +11,7 @@ sum of per-component Wiener estimates. This package provides
   once at construction; densities, moments, sampling, characteristic
   function, and affine transforms, independent joins and marginals as
   array operations;
-* the model layer (:mod:`gmbayes.model`): observation/joint mixtures, SNR,
+* the model layer (:mod:`gmbayes.model`): observation mixture, SNR,
   noise-scale calibration;
 * the estimators (:mod:`gmbayes.estimators`): precomputed MMSE estimator,
   full mixture posterior, LMMSE baseline;
@@ -41,7 +41,6 @@ from .mixture import (
 from .model import (
     BayesianLinearModel,
     calibrate_noise_scale,
-    joint_xy_mixture,
     observation_mixture,
     scale_noise,
     snr,
@@ -82,7 +81,6 @@ __all__ = [
     "estimate_mse",
     "genie_lower_bound",
     "independent_join",
-    "joint_xy_mixture",
     "lmmse_upper_bound",
     "load_config",
     "marginal",

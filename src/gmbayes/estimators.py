@@ -29,7 +29,8 @@ responsibility adds nothing to a posterior mean or covariance, even where its
 own mean is not finite.
 
 :class:`LmmseEstimator` is the one-pair :class:`PrecomputedEstimator` of the
-moment-matched Gaussian model, for which MMSE and LMMSE coincide.
+moment-matched Gaussian model, for which MMSE and LMMSE coincide; its
+estimate runs that pair's gain step, the one the MMSE estimate reduces over.
 """
 
 from __future__ import annotations
@@ -144,13 +145,19 @@ class PrecomputedEstimator:
         """Responsibilities ``(n_pairs, n)`` and per-pair posterior means ``(n_pairs, d, n)``.
 
         One deviation block ``y - mu_y`` serves both the whitening and the
-        gain product, which is one batched matrix product over the pairs.
+        gain step, :meth:`_pair_means`.
         """
         dev = self.obs._deviations(batch)
         alpha = self._softmax(self.obs._whitened_log_pdfs(dev))
+        return alpha, self._pair_means(dev)
+
+    def _pair_means(self, dev: np.ndarray) -> np.ndarray:
+        """The gain step: per-pair posterior means ``x_means + gains (y - mu_y)``,
+        ``(n_pairs, d, n)``, from a ``(n_pairs, m, n)`` deviation block, by one
+        batched matrix product over the pairs."""
         means = _stacked_product(self.gains, dev)
         means += self.x_means[:, :, None]
-        return alpha, means
+        return means
 
     # -- public inference ----------------------------------------------------
 
@@ -260,32 +267,37 @@ class LmmseEstimator:
     """Best affine estimator, from full mixture first and second moments.
 
     MMSE and LMMSE coincide for Gaussian signal and noise, so this is the
-    one-pair :class:`PrecomputedEstimator` of the moment-matched Gaussian
-    model (each mixture replaced by one Gaussian of its mean and covariance).
-    That pair supplies the gain ``C_xx H^T S^-1``, the predicted observation
-    and the factor of ``S = H C_xx H^T + C_nn``, which its observation mixture
-    validates. The exact MSE (``mse``) equals the trace of the error
-    covariance and upper-bounds the MMSE estimator's error.
+    one-pair :class:`PrecomputedEstimator` (``pair``) of the moment-matched
+    Gaussian model (each mixture replaced by one Gaussian of its mean and
+    covariance), whose observation mixture validates the factor of
+    ``S = H C_xx H^T + C_nn``. An estimate runs that pair's own gain step; its
+    one responsibility is 1, so no log-density or softmax is needed. The exact
+    MSE (``mse``) equals the trace of the error covariance and upper-bounds
+    the MMSE estimator's error.
     """
 
-    __slots__ = ("gain", "x_mean", "predicted_obs", "mse")
+    __slots__ = ("pair", "mse")
 
     def __init__(self, model: BayesianLinearModel):
         x, noise = model.x_prior, model.noise
         x_cov = x.covariance()
-        pair = PrecomputedEstimator(BayesianLinearModel(
+        self.pair = PrecomputedEstimator(BayesianLinearModel(
             model.H,
             GaussianMixture.single(x.mean(), x_cov),
             GaussianMixture.single(noise.mean(), noise.covariance()),
         ))
-        self.gain = pair.gains[0]
-        self.x_mean = pair.x_means[0]
-        self.predicted_obs = pair.obs.means[0]
         # trace(C_xx) - sum_j g_j' S^-1 g_j over the columns g_j of H C_xx
-        half = solve_triangular(pair.obs.chols[0], model.H @ x_cov, lower=True)
+        half = solve_triangular(self.pair.obs.chols[0], model.H @ x_cov, lower=True)
         self.mse = float(np.trace(x_cov) - np.sum(half * half))
 
     def estimate(self, y) -> np.ndarray:
-        batch, single = _as_batch(y, self.predicted_obs.shape[0], "observation")
-        est = self.x_mean + (batch - self.predicted_obs) @ self.gain.T
+        """LMMSE estimate ``E[x] + G (y - E[y])``: the pair's gain step on its deviation block.
+
+        Takes the shapes of :meth:`PrecomputedEstimator.estimate`: ``(m,)``
+        returns ``(d,)``, ``(n, m)`` returns ``(n, d)``, and a scalar is one
+        observation when ``m = 1``. Non-finite entries raise :class:`ValidationError`.
+        """
+        pair = self.pair
+        batch, single = _as_batch(y, pair.model.observation_dim, "observation")
+        est = pair._pair_means(pair.obs._deviations(batch))[0].T
         return est[0] if single else est

@@ -2,8 +2,8 @@
 
 Both the signal ``x`` and the noise ``n`` carry finite Gaussian mixture
 distributions and are mutually independent. This module derives the
-observation-space and joint mixtures, does SNR accounting via full second
-moments, and calibrates a scalar noise scale for SNR sweeps.
+observation mixture, does SNR accounting via full second moments, and
+calibrates a scalar noise scale for SNR sweeps.
 """
 
 from __future__ import annotations
@@ -17,13 +17,11 @@ from .mixture import (
     ValidationError,
     _mapped_moments,
     affine_transform,
-    independent_join,
 )
 
 __all__ = [
     "BayesianLinearModel",
     "observation_mixture",
-    "joint_xy_mixture",
     "snr",
     "snr_db",
     "scale_noise",
@@ -100,22 +98,6 @@ def observation_mixture(model: BayesianLinearModel) -> GaussianMixture:
     )
 
 
-def joint_xy_mixture(model: BayesianLinearModel) -> GaussianMixture:
-    """The joint mixture of the stacked vector ``[y; x]``.
-
-    Built by stacking the independent signal and noise mixtures and applying
-    the linear map ``[y; x] = [[H, I], [I, 0]] [x; n]``; the y-block marginal
-    therefore matches :func:`observation_mixture` component by component.
-    The block map is square and invertible for any ``m x d`` matrix ``H``,
-    so the joint covariances stay positive definite.
-    """
-    m, d = model.H.shape
-    stacked = independent_join(model.x_prior, model.noise)
-    top = np.hstack([model.H, np.eye(m)])
-    bottom = np.hstack([np.eye(d), np.zeros((d, m))])
-    return affine_transform(stacked, np.vstack([top, bottom]))
-
-
 def _second_moments(model: BayesianLinearModel) -> tuple[float, float]:
     """``E||x||^2`` and ``E||n||^2``, each checked positive: a mixture of
     subnormal covariances passes the constructor, yet its weighted moment can
@@ -136,11 +118,16 @@ def snr(model: BayesianLinearModel) -> float:
     return signal / noise
 
 
-def snr_db(model: BayesianLinearModel) -> float:
-    """:func:`snr` in dB, from the two second moments' logarithms, so it stays
-    finite where the linear ratio overflows a double."""
+def _log10_snr(model: BayesianLinearModel) -> float:
+    """``log10`` of :func:`snr`, as the difference of the two second moments'
+    logarithms, so it stays finite where the linear ratio overflows a double."""
     signal, noise = _second_moments(model)
-    return 10.0 * (math.log10(signal) - math.log10(noise))
+    return math.log10(signal) - math.log10(noise)
+
+
+def snr_db(model: BayesianLinearModel) -> float:
+    """:func:`snr` in dB, finite wherever the model is valid."""
+    return 10.0 * _log10_snr(model)
 
 
 def scale_noise(model: BayesianLinearModel, factor: float) -> BayesianLinearModel:
@@ -167,10 +154,8 @@ def calibrate_noise_scale(model: BayesianLinearModel, target_snr_db: float) -> t
     # survive extreme targets. The scaled noise must be a valid mixture whose
     # variances are normal doubles: a subnormal one has lost the precision the
     # calibration relies on. A scale whose noise overflows is this error too,
-    # so numpy's overflow warnings are off. The log of the linear ratio, not
-    # snr_db's log difference, sets the pinned noise-scale column's last bit;
-    # switch to snr_db's form when the figure-1 digest is next re-recorded.
-    log10_factor = 0.5 * math.log10(snr(model)) - target_snr_db / 20.0
+    # so numpy's overflow warnings are off.
+    log10_factor = 0.5 * _log10_snr(model) - target_snr_db / 20.0
     try:
         factor = 10.0 ** log10_factor
         with np.errstate(over="ignore", invalid="ignore"):

@@ -9,8 +9,11 @@ from gmbayes import (
     GaussianMixture,
     LmmseEstimator,
     PrecomputedEstimator,
+    calibrate_noise_scale,
     genie_lower_bound,
     lmmse_upper_bound,
+    load_config,
+    packaged_config,
     scale_noise,
 )
 
@@ -156,3 +159,43 @@ class TestBoundsReport:
             slack = 1e-10 * (1.0 + trace)
             assert 0.0 <= lower <= upper + slack
             assert upper <= trace + slack
+
+
+FIGURE1 = load_config(packaged_config("figure1.config"))
+SUBTRACTION_LOSS = (
+    "ROADMAP Direction 1: both bounds subtract nearly equal quantities, "
+    "which loses relative precision as the SNR grows"
+)
+
+
+def figure1_bounds(snr_db: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Figure-1's computed ``(genie, LMMSE)`` bounds at ``snr_db`` and their
+    closed forms, free of subtraction.
+
+    With ``H = I``, unit signal covariances and one noise component of
+    covariance ``c I`` (``c`` the squared noise scale), genie is
+    ``5c / (1 + c)`` and LMMSE is ``sum_i lambda_i c / (lambda_i + c)`` over
+    the eigenvalues ``lambda_i`` of ``C_xx``.
+    """
+    scaled, scale = calibrate_noise_scale(FIGURE1.model, snr_db)
+    c = scale * scale
+    lam = np.linalg.eigvalsh(FIGURE1.model.x_prior.covariance())
+    computed = genie_lower_bound(PrecomputedEstimator(scaled)), lmmse_upper_bound(LmmseEstimator(scaled))
+    return computed, (5.0 * c / (1.0 + c), float(np.sum(lam * c / (lam + c))))
+
+
+class TestFigure1ClosedForms:
+    @pytest.mark.parametrize("snr_db", FIGURE1.sweep.snr_db_grid)
+    def test_packaged_grid(self, snr_db):
+        # today's worst errors on the grid: genie 2.2e-14, LMMSE 1.2e-11 (at the top)
+        (genie, lmmse), (genie_ref, lmmse_ref) = figure1_bounds(snr_db)
+        assert genie == pytest.approx(genie_ref, rel=5e-14, abs=0.0)
+        assert lmmse == pytest.approx(lmmse_ref, rel=2e-11, abs=0.0)
+
+    @pytest.mark.xfail(strict=True, reason=SUBTRACTION_LOSS)
+    @pytest.mark.parametrize("snr_db", [120.0, 160.0])
+    def test_extreme_snr(self, snr_db):
+        # today LMMSE is 1.8e-4 off at 120 dB and 0.16 off at 160 dB
+        (genie, lmmse), (genie_ref, lmmse_ref) = figure1_bounds(snr_db)
+        assert genie == pytest.approx(genie_ref, rel=1e-13, abs=0.0)
+        assert lmmse == pytest.approx(lmmse_ref, rel=1e-13, abs=0.0)

@@ -147,6 +147,16 @@ class TestEstimate:
         match = re.search(r"k=0: (\d\.\d+)", out)
         assert float(match.group(1)) > 0.999
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP Direction 1: the uncentred mixture covariance cancels once "
+        "the posterior mean is large against its spread"))
+    def test_far_observation_posterior_trace(self, capsys):
+        # at y = 1e9 only the pair (1, 1) of oracle1d is active: a Gaussian
+        # posterior of variance 1.2 * 0.9 / 2.1 = 18/35; today the trace prints 0
+        assert main(["estimate", "--config", "oracle1d.config", "--y", "1e9"]) == 0
+        trace = re.search(r"Tr\(C_x\|y\) = (\S+)", capsys.readouterr().out).group(1)
+        assert float(trace) == pytest.approx(18.0 / 35.0, rel=1e-12, abs=0.0)
+
     def test_dimension_mismatch_exit_1(self, tmp_path, capsys):
         config = write_config(tmp_path, SCALAR_GAUSSIAN)
         assert main(["estimate", "--config", config, "--y", "1.0, 2.0"]) == 1

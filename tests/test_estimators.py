@@ -716,6 +716,29 @@ class TestInformationFormIdentity:
             assert np.max(np.abs(ours - reference) / scale) < 1e-8
 
 
+def affine_lmmse_estimate(lmmse: LmmseEstimator, y) -> np.ndarray:
+    """The LMMSE estimator's former affine formula, ``x_mean + (y - y_hat) G^T``,
+    read from its moment-matched pair: the bit-exact reference for the pair's
+    gain step that the estimator now runs."""
+    pair, y = lmmse.pair, np.asarray(y, dtype=float)
+    batch = y.reshape(-1, pair.model.observation_dim)
+    est = pair.x_means[0] + (batch - pair.obs.means[0]) @ pair.gains[0].T
+    return est if y.ndim == 2 else est[0]
+
+
+def assert_lmmse_is_affine_formula(model: BayesianLinearModel, ys: np.ndarray) -> None:
+    """LMMSE estimates equal the frozen affine formula exactly: on ``ys`` and
+    its blocks of 0, 1 and 2 rows, on single observations and, for ``m = 1``,
+    on scalars."""
+    lmmse = LmmseEstimator(model)
+    inputs = [ys, ys[:0], ys[:1], ys[:2], ys[0], ys[1]]
+    if model.observation_dim == 1:
+        inputs += [float(ys[0, 0]), ys[1, 0]]
+    for y in inputs:
+        est, reference = lmmse.estimate(y), affine_lmmse_estimate(lmmse, y)
+        assert est.shape == reference.shape and np.array_equal(est, reference)
+
+
 class TestLmmse:
     def test_gaussian_case_matches_mmse(self):
         rng = np.random.default_rng(10)
@@ -797,6 +820,15 @@ class TestLmmse:
             expected = pair.estimate(ys)
             deviation = np.max(np.abs(LmmseEstimator(model).estimate(ys) - expected))
             assert deviation <= 1e-12 * np.max(np.abs(expected))
+            # and exactly the frozen affine formula, here and on 4096 draws
+            assert_lmmse_is_affine_formula(model, ys)
+            assert_lmmse_is_affine_formula(model, obs.sample(4096, 7))
+
+    @pytest.mark.parametrize("name", ["figure1.config", "oracle1d.config"])
+    @pytest.mark.parametrize("snr_db", [-10.0, 20.0, 50.0])
+    def test_packaged_models_run_the_affine_formula(self, name, snr_db):
+        scaled, _ = calibrate_noise_scale(load_config(packaged_config(name)).model, snr_db)
+        assert_lmmse_is_affine_formula(scaled, observation_mixture(scaled).sample(4096, 11))
 
     def test_dimension_mismatch(self):
         lmmse = LmmseEstimator(scalar_wiener_model())

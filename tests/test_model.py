@@ -11,8 +11,9 @@ from gmbayes import (
     BayesianLinearModel,
     GaussianMixture,
     ValidationError,
+    affine_transform,
     calibrate_noise_scale,
-    joint_xy_mixture,
+    independent_join,
     load_config,
     marginal,
     observation_mixture,
@@ -109,12 +110,19 @@ class TestObservationMixture:
             observation_mixture(model)
 
 
+def joint_xy(model: BayesianLinearModel) -> GaussianMixture:
+    """The joint mixture of ``[y; x]``: the independent join of signal and
+    noise under the square, invertible map ``[[H, I], [I, 0]]``."""
+    m, d = model.H.shape
+    block = np.block([[model.H, np.eye(m)], [np.eye(d), np.zeros((d, m))]])
+    return affine_transform(independent_join(model.x_prior, model.noise), block)
+
+
 class TestJointMixture:
     def test_y_block_marginal_is_observation_mixture(self):
         rng = np.random.default_rng(4)
         model = random_model(rng, 2, 3, 2, 2)
-        joint = joint_xy_mixture(model)
-        y_marg = marginal(joint, slice(0, 3))
+        y_marg = marginal(joint_xy(model), slice(0, 3))
         obs = observation_mixture(model)
         npt.assert_allclose(y_marg.weights, obs.weights, atol=1e-12)
         npt.assert_allclose(y_marg.means, obs.means, atol=1e-12)
@@ -123,8 +131,7 @@ class TestJointMixture:
     def test_x_block_marginal_is_prior(self):
         rng = np.random.default_rng(5)
         model = random_model(rng, 2, 3, 3, 2)
-        joint = joint_xy_mixture(model)
-        x_marg = marginal(joint, slice(3, 5))
+        x_marg = marginal(joint_xy(model), slice(3, 5))
         # joint components are (k, l) row-major; x parameters repeat per l
         for pair_index in range(len(x_marg)):
             k = pair_index // 2
@@ -132,10 +139,6 @@ class TestJointMixture:
             npt.assert_allclose(
                 x_marg.covariances[pair_index], model.x_prior.covariances[k], atol=1e-12
             )
-
-    def test_scalar_joint_covariance(self):
-        joint = joint_xy_mixture(scalar_wiener_model())
-        npt.assert_allclose(joint.covariances[0], [[2.0, 1.0], [1.0, 1.0]], atol=1e-14)
 
 
 class TestSnr:
@@ -224,6 +227,14 @@ class TestCalibration:
         model = scalar_wiener_model()
         with pytest.raises(ValidationError, match="unusable"):
             calibrate_noise_scale(model, -20000.0)
+
+    def test_prior_snr_above_linear_overflow_calibrates(self):
+        # figure-1 with its noise at a 3122 dB prior SNR: the linear ratio
+        # overflows a double, the second moments' log difference does not
+        model = load_config(packaged_config("figure1.config")).model
+        high = scale_noise(model, 10.0 ** ((snr_db(model) - 3122.0) / 20.0))
+        scaled, _ = calibrate_noise_scale(high, 0.0)
+        assert abs(snr_db(scaled)) <= 1e-9
 
     @pytest.mark.parametrize("target", [3200.0, 3300.0, 6160.0, -6100.0])
     def test_scaled_noise_a_double_cannot_hold_rejected(self, target):
