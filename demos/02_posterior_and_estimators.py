@@ -14,6 +14,7 @@ from gmbayes import (
     GaussianMixture,
     LmmseEstimator,
     PrecomputedEstimator,
+    lmmse_upper_bound,
 )
 
 # Signal prior: two well-separated clusters in 2-D.
@@ -51,7 +52,7 @@ assert np.array_equal(pre.estimate(y), post.mean())
 lin = LmmseEstimator(model)
 print("MMSE  estimate =", pre.estimate(y))
 print("LMMSE estimate =", lin.estimate(y))
-print("exact LMMSE MSE =", lin.mse)
+print("exact LMMSE MSE =", lmmse_upper_bound(lin))
 
 # An ambiguous observation between the clusters: the MMSE estimator hedges
 # across components (responsibilities near 50/50) instead of committing.

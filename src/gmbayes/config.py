@@ -158,7 +158,10 @@ def _grid(section: dict, path: str) -> tuple[float, ...]:
         raise ConfigError(f"{path}.snr_db_step", f"must be positive, got {step}")
     if stop < start:
         raise ConfigError(f"{path}.snr_db_stop", f"{stop} is below snr_db_start {start}")
-    count = int(round((stop - start) / step)) + 1
+    steps = (stop - start) / step
+    if not math.isfinite(steps):
+        raise ConfigError(f"{path}.snr_db_step", f"{step} is too fine to count the points of [{start}, {stop}]")
+    count = int(round(steps)) + 1
     if abs(start + (count - 1) * step - stop) > _GRID_ALIGN_RTOL * step:
         raise ConfigError(f"{path}.snr_db_step", "does not evenly divide [start, stop]")
     return tuple(start + i * step for i in range(count))

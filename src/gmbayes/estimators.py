@@ -29,8 +29,10 @@ responsibility adds nothing to a posterior mean or covariance, even where its
 own mean is not finite.
 
 :class:`LmmseEstimator` is the one-pair :class:`PrecomputedEstimator` of the
-moment-matched Gaussian model, for which MMSE and LMMSE coincide; its
-estimate runs that pair's gain step, the one the MMSE estimate reduces over.
+moment-matched Gaussian model, for which MMSE and LMMSE coincide. It holds
+only that pair: its estimate runs the pair's gain step, the one the MMSE
+estimate reduces over, and :mod:`gmbayes.bounds` reads the LMMSE bound from
+the pair's precompute.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_solve
 
 from .mixture import (
     GaussianMixture,
@@ -91,8 +93,6 @@ class PrecomputedEstimator:
     __slots__ = (
         "model",
         "obs",
-        "n_signal",
-        "n_noise",
         "n_pairs",
         "gains",
         "comp_post_covs",
@@ -109,8 +109,6 @@ class PrecomputedEstimator:
 
         self.model = model
         self.obs = obs
-        self.n_signal = len(model.x_prior)
-        self.n_noise = n_noise
         self.n_pairs = len(obs)
         # C order: each pair's gain is one contiguous block for the batched product.
         self.gains = _frozen(np.ascontiguousarray(gains))
@@ -170,7 +168,7 @@ class PrecomputedEstimator:
         """
         batch, single = _as_batch(y, self.model.observation_dim, "observation")
         alpha = self._softmax(self.log_observation_pdfs(batch))
-        shape = (self.n_signal, self.n_noise)
+        shape = (len(self.model.x_prior), len(self.model.noise))
         return alpha[:, 0].reshape(shape) if single else alpha.reshape(shape + (-1,))
 
     def estimate(self, y) -> np.ndarray:
@@ -199,7 +197,7 @@ class PrecomputedEstimator:
         if not single:
             raise ValidationError("posterior expects a single observation vector")
         alpha, comp_means = self._posterior_terms(batch)
-        shape = (self.n_signal, self.n_noise)
+        shape = (len(self.model.x_prior), len(self.model.noise))
         d = self.model.signal_dim
         return PosteriorGM(
             responsibilities=alpha[:, 0].reshape(shape),
@@ -272,23 +270,18 @@ class LmmseEstimator:
     covariance), whose observation mixture validates the factor of
     ``S = H C_xx H^T + C_nn``. An estimate runs that pair's own gain step; its
     one responsibility is 1, so no log-density or softmax is needed. The exact
-    MSE (``mse``) equals the trace of the error covariance and upper-bounds
-    the MMSE estimator's error.
+    MSE, an upper bound for the MMSE error, is :func:`~gmbayes.bounds.lmmse_upper_bound`.
     """
 
-    __slots__ = ("pair", "mse")
+    __slots__ = ("pair",)
 
     def __init__(self, model: BayesianLinearModel):
         x, noise = model.x_prior, model.noise
-        x_cov = x.covariance()
         self.pair = PrecomputedEstimator(BayesianLinearModel(
             model.H,
-            GaussianMixture.single(x.mean(), x_cov),
+            GaussianMixture.single(x.mean(), x.covariance()),
             GaussianMixture.single(noise.mean(), noise.covariance()),
         ))
-        # trace(C_xx) - sum_j g_j' S^-1 g_j over the columns g_j of H C_xx
-        half = solve_triangular(self.pair.obs.chols[0], model.H @ x_cov, lower=True)
-        self.mse = float(np.trace(x_cov) - np.sum(half * half))
 
     def estimate(self, y) -> np.ndarray:
         """LMMSE estimate ``E[x] + G (y - E[y])``: the pair's gain step on its deviation block.

@@ -53,7 +53,8 @@ __all__ = [
     "run_sweep",
 ]
 
-ESTIMATOR_NAMES = ("mmse", "lmmse")
+_ARMS = {"mmse": PrecomputedEstimator, "lmmse": LmmseEstimator}
+ESTIMATOR_NAMES = tuple(_ARMS)
 
 _BATCH = 4096
 
@@ -175,8 +176,7 @@ def estimate_mse(
     """
     trials = _sweep_integer("trials", trials)
     seed = _sweep_integer("seed", seed)
-    mmse = _estimator_name(estimator) == "mmse"
-    arm = PrecomputedEstimator(model) if mmse else LmmseEstimator(model)
+    arm = _ARMS[_estimator_name(estimator)](model)
     return _mean_stderr(_squared_errors(model, trials, seed, [arm])[0])
 
 
@@ -228,7 +228,7 @@ def _run_point(config: SweepConfig, index: int) -> SweepPoint:
     scale = math.nan
     try:
         scaled, scale = calibrate_noise_scale(config.model, snr_db)
-        arms = {"mmse": PrecomputedEstimator(scaled), "lmmse": LmmseEstimator(scaled)}
+        arms = {name: make(scaled) for name, make in _ARMS.items()}
         lower, upper = genie_lower_bound(arms["mmse"]), lmmse_upper_bound(arms["lmmse"])
         if not (lower > 0.0 and upper > 0.0):
             raise ValidationError(

@@ -70,6 +70,14 @@ def random_model(
     )
 
 
+def oracle_equivalence_models() -> list[BayesianLinearModel]:
+    """The 20 random 1-D models of acceptance criterion 2, with two or three
+    signal and noise components each."""
+    rng = np.random.default_rng(42)
+    return [random_model(rng, 1, 1, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+            for _ in range(20)]
+
+
 def asymptotics_model() -> BayesianLinearModel:
     """Random model with invertible H, built to stay numerically meaningful
     at +/-120 dB: clustered signal means and small component covariances keep

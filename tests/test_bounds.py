@@ -3,6 +3,8 @@ both below the prior trace."""
 
 import numpy as np
 import pytest
+from mpmath import mp
+from scipy.linalg import solve_triangular
 
 from gmbayes import (
     BayesianLinearModel,
@@ -17,7 +19,8 @@ from gmbayes import (
     scale_noise,
 )
 
-from conftest import random_model
+from conftest import asymptotics_model, oracle_equivalence_models, random_model
+from reference import DPS, components, reference_bounds
 
 
 def scalar_wiener_model() -> BayesianLinearModel:
@@ -71,6 +74,21 @@ class TestLmmseUpperBound:
     def test_scalar_wiener(self):
         upper = lmmse_upper_bound(LmmseEstimator(scalar_wiener_model()))
         assert upper == pytest.approx(0.5, rel=1e-14)
+
+    def test_is_the_frozen_trace_formula(self):
+        # exactly the formula LmmseEstimator.mse held before the bound moved
+        # here, on criterion 2's models, figure1 and oracle1d from -100 to
+        # 160 dB, and the asymptotics model
+        packaged = [load_config(packaged_config(name)).model
+                    for name in ("figure1.config", "oracle1d.config")]
+        models = [*oracle_equivalence_models(), asymptotics_model()]
+        models += [calibrate_noise_scale(model, snr_db)[0]
+                   for model in packaged for snr_db in np.arange(-100.0, 161.0, 5.0)]
+        for model in models:
+            lmmse = LmmseEstimator(model)
+            x_cov = model.x_prior.covariance()
+            half = solve_triangular(lmmse.pair.obs.chols[0], model.H @ x_cov, lower=True)
+            assert lmmse_upper_bound(lmmse) == float(np.trace(x_cov) - np.sum(half * half))
 
     def test_huge_noise_approaches_prior_trace(self):
         rng = np.random.default_rng(4)
@@ -199,3 +217,53 @@ class TestFigure1ClosedForms:
         (genie, lmmse), (genie_ref, lmmse_ref) = figure1_bounds(snr_db)
         assert genie == pytest.approx(genie_ref, rel=1e-13, abs=0.0)
         assert lmmse == pytest.approx(lmmse_ref, rel=1e-13, abs=0.0)
+
+
+def relative_error(value: float, reference) -> float:
+    with mp.workdps(DPS):
+        return float(abs(mp.mpf(value) - reference) / reference)
+
+
+ORACLE1D = load_config(packaged_config("oracle1d.config"))
+
+
+class TestMpmathReference:
+    """Both bounds against the 60-digit conditioning of :mod:`reference`.
+
+    The tolerances sit just above today's worst relative errors: figure-1
+    genie 2.1e-14 and LMMSE 1.2e-11, oracle1d 5.3e-16 and 5.0e-15, the
+    asymptotics model 2.8e-14 and 2.7e-12.
+    """
+
+    @pytest.mark.parametrize("model, grid, genie_tol, lmmse_tol", [
+        (FIGURE1.model, FIGURE1.sweep.snr_db_grid, 5e-14, 2e-11),
+        (ORACLE1D.model, ORACLE1D.sweep.snr_db_grid, 2e-15, 2e-14),
+        (asymptotics_model(), np.arange(-10.0, 51.0, 10.0), 1e-13, 1e-11),
+    ], ids=["figure1", "oracle1d", "asymptotics"])
+    def test_bounds(self, model, grid, genie_tol, lmmse_tol):
+        for snr_db in grid:
+            scaled, _ = calibrate_noise_scale(model, snr_db)
+            genie_ref, lmmse_ref = reference_bounds(scaled)
+            assert relative_error(genie_lower_bound(PrecomputedEstimator(scaled)), genie_ref) <= genie_tol
+            assert relative_error(lmmse_upper_bound(LmmseEstimator(scaled)), lmmse_ref) <= lmmse_tol
+
+    @pytest.mark.parametrize("snr_db", sorted({*range(-300, 301, 50), -120, 120, 96}))
+    def test_reference_meets_figure1_closed_forms(self, snr_db):
+        # genie 5c/(1+c) and LMMSE sum_i lambda_i c/(lambda_i + c), worked at
+        # 60 digits from the stored noise variance c and the eigenvalues of
+        # the uncentred second moments less the outer mean
+        scaled, _ = calibrate_noise_scale(FIGURE1.model, float(snr_db))
+        c = float(scaled.noise.covariances[0, 0, 0])
+        assert np.array_equal(scaled.noise.covariances[0], c * np.eye(5))
+        genie_ref, lmmse_ref = reference_bounds(scaled)
+        with mp.workdps(DPS):
+            c = mp.mpf(c)
+            mean, second = mp.zeros(5, 1), mp.zeros(5)
+            for w, u, cov in components(FIGURE1.model.x_prior):
+                mean += w * u
+                second += w * (cov + u * u.T)
+            lam = mp.eigsy(second - mean * mean.T, eigvals_only=True)
+            genie = 5 * c / (1 + c)
+            lmmse = mp.fsum(v * c / (v + c) for v in lam)
+            assert abs(genie_ref - genie) <= mp.mpf("1e-15") * genie
+            assert abs(lmmse_ref - lmmse) <= mp.mpf("1e-15") * lmmse

@@ -91,6 +91,19 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "model.x" in err and "weights sum" in err
 
+    @pytest.mark.parametrize("grid", [
+        {"snr_db_step": 1e-320},
+        {"snr_db_start": -1e308, "snr_db_stop": 1e308},
+    ], ids=["subnormal-step", "full-double-range"])
+    def test_grid_too_fine_to_count_exit_1(self, tmp_path, capsys, grid):
+        # (stop - start) / step overflows to inf: a config error, not an internal one
+        doc = json.loads(packaged_config("oracle1d.config").read_text())
+        doc["sweep"].update(grid)
+        assert main(["validate", "--config", write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert "sweep.snr_db_step" in err and "too fine" in err
+        assert "internal error" not in err
+
     def test_missing_config_exit_1(self, capsys):
         assert main(["validate", "--config", "/no/such/file.config"]) == 1
         assert "config file not found" in capsys.readouterr().err

@@ -294,7 +294,7 @@ class TestRunSweep:
                 raise ValidationError("synthetic failure for test")
             return real(model)
 
-        monkeypatch.setattr(mc, "PrecomputedEstimator", flaky)
+        monkeypatch.setitem(mc._ARMS, "mmse", flaky)
         # low SNR -> large noise scale -> the patched precompute fails there
         config = SweepConfig(oracle_model(), (-20.0, 20.0), trials=50, seed=5)
         points = run_sweep(config)
