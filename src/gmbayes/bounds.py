@@ -12,8 +12,8 @@ The estimator's Bayesian MSE has no closed form, but it is sandwiched:
 
 Both formulas live here. Each reads the precompute of an estimator that a
 sweep point has already built: the lower bound a :class:`PrecomputedEstimator`,
-the upper bound an :class:`LmmseEstimator`'s one pair. Both are on the linear
-scale; any dB conversion happens at presentation time.
+the upper bound an :class:`LmmseEstimator`, the moment-matched model's. Both
+are on the linear scale; any dB conversion happens at presentation time.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ def genie_lower_bound(pre: PrecomputedEstimator) -> float:
 def lmmse_upper_bound(lmmse: LmmseEstimator) -> float:
     """Exact MSE of the LMMSE estimator, an upper bound for the MMSE error:
     ``tr C_xx - sum_j g_j^T S^-1 g_j`` over the columns ``g_j`` of ``H C_xx``,
-    from the pair's signal covariance and its factor of ``S``."""
-    pair = lmmse.pair
-    x_cov = pair.model.x_prior.covariances[0]
-    half = solve_triangular(pair.obs.chols[0], pair.model.H @ x_cov, lower=True)
+    from the moment-matched signal covariance and the factor of ``S``."""
+    x_cov = lmmse.model.x_prior.covariances[0]
+    half = solve_triangular(lmmse.obs.chols[0], lmmse.model.H @ x_cov, lower=True)
     return float(np.trace(x_cov) - np.sum(half * half))

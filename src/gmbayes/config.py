@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _GRID_ALIGN_RTOL = 1e-6
+_MAX_GRID_POINTS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -162,6 +163,8 @@ def _grid(section: dict, path: str) -> tuple[float, ...]:
     if not math.isfinite(steps):
         raise ConfigError(f"{path}.snr_db_step", f"{step} is too fine to count the points of [{start}, {stop}]")
     count = int(round(steps)) + 1
+    if count > _MAX_GRID_POINTS:
+        raise ConfigError(f"{path}.snr_db_step", f"gives {count} grid points, more than {_MAX_GRID_POINTS}")
     if abs(start + (count - 1) * step - stop) > _GRID_ALIGN_RTOL * step:
         raise ConfigError(f"{path}.snr_db_step", "does not evenly divide [start, stop]")
     return tuple(start + i * step for i in range(count))

@@ -28,11 +28,9 @@ density under every pair and raises :class:`ValidationError`. A pair of zero
 responsibility adds nothing to a posterior mean or covariance, even where its
 own mean is not finite.
 
-:class:`LmmseEstimator` is the one-pair :class:`PrecomputedEstimator` of the
-moment-matched Gaussian model, for which MMSE and LMMSE coincide. It holds
-only that pair: its estimate runs the pair's gain step, the one the MMSE
-estimate reduces over, and :mod:`gmbayes.bounds` reads the LMMSE bound from
-the pair's precompute.
+:class:`LmmseEstimator` is the :class:`PrecomputedEstimator` of the
+moment-matched Gaussian model, for which MMSE and LMMSE coincide; its estimate
+is the gain step of its one pair, whose responsibility is 1.
 """
 
 from __future__ import annotations
@@ -117,8 +115,9 @@ class PrecomputedEstimator:
 
     # -- log-domain machinery ----------------------------------------------
 
-    def log_observation_pdfs(self, batch: np.ndarray) -> np.ndarray:
-        """Per-pair Gaussian log-densities of ``(n, m)`` observations, shape ``(n_pairs, n)``."""
+    def log_observation_pdfs(self, batch) -> np.ndarray:
+        """Per-pair Gaussian log-densities of ``(n, m)`` observations, shape ``(n_pairs, n)``,
+        with the input rules of :meth:`GaussianMixture.component_log_pdfs`."""
         return self.obs.component_log_pdfs(batch)
 
     def _softmax(self, log_pdfs: np.ndarray) -> np.ndarray:
@@ -167,7 +166,7 @@ class PrecomputedEstimator:
         nonnegative and sum to 1 over the pairs.
         """
         batch, single = _as_batch(y, self.model.observation_dim, "observation")
-        alpha = self._softmax(self.log_observation_pdfs(batch))
+        alpha = self._softmax(self.obs._whitened_log_pdfs(self.obs._deviations(batch)))
         shape = (len(self.model.x_prior), len(self.model.noise))
         return alpha[:, 0].reshape(shape) if single else alpha.reshape(shape + (-1,))
 
@@ -261,36 +260,37 @@ class PosteriorGM:
                            error="posterior covariance overflows a double")
 
 
-class LmmseEstimator:
-    """Best affine estimator, from full mixture first and second moments.
+class LmmseEstimator(PrecomputedEstimator):
+    """Best affine estimator: the :class:`PrecomputedEstimator` of the moment-matched model.
 
-    MMSE and LMMSE coincide for Gaussian signal and noise, so this is the
-    one-pair :class:`PrecomputedEstimator` (``pair``) of the moment-matched
-    Gaussian model (each mixture replaced by one Gaussian of its mean and
-    covariance), whose observation mixture validates the factor of
-    ``S = H C_xx H^T + C_nn``. An estimate runs that pair's own gain step; its
-    one responsibility is 1, so no log-density or softmax is needed. The exact
-    MSE, an upper bound for the MMSE error, is :func:`~gmbayes.bounds.lmmse_upper_bound`.
+    MMSE and LMMSE coincide for Gaussian signal and noise. ``model`` replaces
+    each mixture by one Gaussian of its mean and covariance, and its one-pair
+    ``obs`` validates the factor of ``S = H C_xx H^T + C_nn``. The inherited
+    :meth:`responsibilities` and :meth:`posterior` describe that model. The
+    exact MSE, an upper bound for the MMSE error, is :func:`~gmbayes.bounds.lmmse_upper_bound`.
     """
 
-    __slots__ = ("pair",)
+    __slots__ = ()
 
     def __init__(self, model: BayesianLinearModel):
         x, noise = model.x_prior, model.noise
-        self.pair = PrecomputedEstimator(BayesianLinearModel(
+        super().__init__(BayesianLinearModel(
             model.H,
             GaussianMixture.single(x.mean(), x.covariance()),
             GaussianMixture.single(noise.mean(), noise.covariance()),
         ))
 
     def estimate(self, y) -> np.ndarray:
-        """LMMSE estimate ``E[x] + G (y - E[y])``: the pair's gain step on its deviation block.
+        """LMMSE estimate ``E[x] + G (y - E[y])``: the one pair's gain step, with no softmax.
 
         Takes the shapes of :meth:`PrecomputedEstimator.estimate`: ``(m,)``
         returns ``(d,)``, ``(n, m)`` returns ``(n, d)``, and a scalar is one
-        observation when ``m = 1``. Non-finite entries raise :class:`ValidationError`.
+        observation when ``m = 1``. Non-finite entries, and estimates that
+        overflow a double, raise :class:`ValidationError`.
         """
-        pair = self.pair
-        batch, single = _as_batch(y, pair.model.observation_dim, "observation")
-        est = pair._pair_means(pair.obs._deviations(batch))[0].T
+        batch, single = _as_batch(y, self.model.observation_dim, "observation")
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = self._pair_means(self.obs._deviations(batch))[0].T
+        if not np.isfinite(est).all():
+            raise ValidationError(_MEAN_OVERFLOW.format(np.isfinite(est).all(axis=1).argmin()))
         return est[0] if single else est

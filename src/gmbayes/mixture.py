@@ -200,12 +200,15 @@ class GaussianMixture:
 
     # -- densities --------------------------------------------------------
 
-    def component_log_pdfs(self, points: np.ndarray) -> np.ndarray:
+    def component_log_pdfs(self, points) -> np.ndarray:
         """Per-component Gaussian log-densities of a ``(n, d)`` batch, shape ``(K, n)``.
 
+        A single point ``(d,)`` (or a scalar when ``d = 1``) is a batch of one.
+        Wrong shapes and non-finite entries raise :class:`ValidationError`.
         Each deviation ``x - u_k`` is whitened as ``z = L_k^-1 (x - u_k)``;
         subtracting the mean before whitening keeps far-out points accurate.
         """
+        points, _ = _as_batch(points, self.dim, "point")
         return self._whitened_log_pdfs(self._deviations(points))
 
     def _deviations(self, points: np.ndarray) -> np.ndarray:
@@ -237,7 +240,8 @@ class GaussianMixture:
         if self.dim == 1 and x.ndim == 1 and x.shape[0] != 1:
             x = x[:, None]  # a batch of scalars
         points, single = _as_batch(x, self.dim, "point")
-        out = _log_sum_exp(self.component_log_pdfs(points) + self.log_weights[:, None])
+        logs = self._whitened_log_pdfs(self._deviations(points))
+        out = _log_sum_exp(logs + self.log_weights[:, None])
         return float(out[0]) if single else out
 
     def characteristic_function(self, t) -> complex:

@@ -87,7 +87,7 @@ class TestLmmseUpperBound:
         for model in models:
             lmmse = LmmseEstimator(model)
             x_cov = model.x_prior.covariance()
-            half = solve_triangular(lmmse.pair.obs.chols[0], model.H @ x_cov, lower=True)
+            half = solve_triangular(lmmse.obs.chols[0], model.H @ x_cov, lower=True)
             assert lmmse_upper_bound(lmmse) == float(np.trace(x_cov) - np.sum(half * half))
 
     def test_huge_noise_approaches_prior_trace(self):

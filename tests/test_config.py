@@ -159,6 +159,16 @@ class TestParseErrors:
         text = variant(sweep={"snr_db_start": 0, "snr_db_stop": 1, "snr_db_step": 0.3, "trials": 5, "seed": 0})
         self.check(text, "sweep.snr_db_step", "divide")
 
+    def test_sweep_grid_point_count_capped(self):
+        # -5 to 15 dB in steps of 2**-40 would be 20 * 2**40 + 1 points
+        doc = json.loads(packaged_config("oracle1d.config").read_text())
+        doc["sweep"]["snr_db_step"] = 2.0**-40
+        self.check(json.dumps(doc), "sweep.snr_db_step", "21990232555521 grid points, more than 1000000")
+        sweep = {"snr_db_start": 0, "snr_db_stop": 1, "snr_db_step": 1e-6, "trials": 5, "seed": 0}
+        self.check(variant(sweep=sweep), "sweep.snr_db_step", "1000001 grid points")
+        sweep["snr_db_stop"] = 0.999999
+        assert len(parse_config(variant(sweep=sweep)).sweep.snr_db_grid) == 1_000_000
+
     def test_sweep_bad_estimator_indexed(self):
         text = variant(sweep={
             "snr_db_start": 0, "snr_db_stop": 1, "snr_db_step": 1,

@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy.linalg import cho_solve, solve_triangular
 
 from gmbayes import (
@@ -24,6 +25,7 @@ from gmbayes import (
 )
 
 from conftest import (
+    asymptotics_model,
     oracle_equivalence_models,
     point_inputs,
     random_model,
@@ -32,6 +34,7 @@ from conftest import (
     reference_mixture_covariance,
     rejected_input,
 )
+from reference import DPS, reference_posteriors
 
 LOG_TINY = math.log(np.finfo(float).tiny)
 
@@ -718,13 +721,78 @@ class TestInformationFormIdentity:
             assert np.max(np.abs(ours - reference) / scale) < 1e-8
 
 
+def reference_errors(model: BayesianLinearModel, ys: np.ndarray) -> dict[str, float]:
+    """Worst errors at the rows of ``ys`` against the 60-digit reference: absolute
+    for the responsibilities, relative to ``1 + max_i |x_i|`` for a mean.
+
+    ``means`` covers the batch and the single ``estimate`` and each pair's
+    ``posterior`` component mean; ``lmmse`` the batch and the single LMMSE
+    estimate, against the one pair of the centred moment-matched model.
+    """
+    pre, lmmse = PrecomputedEstimator(model), LmmseEstimator(model)
+    alpha_ref, pair_refs, mean_refs = reference_posteriors(model, ys)
+    lmmse_refs = reference_posteriors(model, ys, matched=True)[2]
+    alpha = pre.responsibilities(ys).reshape(pre.n_pairs, -1)
+    batch, lmmse_batch = pre.estimate(ys), lmmse.estimate(ys)
+    worst = dict.fromkeys(("responsibilities", "means", "lmmse"), 0.0)
+
+    def record(kind, computed, reference, relative=True):
+        error = max(abs(mp.mpf(float(v)) - r) for v, r in zip(computed, reference))
+        scale = 1 + max(abs(r) for r in reference) if relative else 1
+        worst[kind] = max(worst[kind], float(error / scale))
+
+    with mp.workdps(DPS):
+        for i, y in enumerate(ys):
+            record("responsibilities", alpha[:, i], alpha_ref[i], relative=False)
+            record("means", batch[i], mean_refs[i])
+            record("means", pre.estimate(y), mean_refs[i])
+            pair_means = pre.posterior(y).component_means.reshape(pre.n_pairs, -1)
+            for computed, reference in zip(pair_means, pair_refs[i]):
+                record("means", computed, reference)
+            record("lmmse", lmmse_batch[i], lmmse_refs[i])
+            record("lmmse", lmmse.estimate(y), lmmse_refs[i])
+    return worst
+
+
+FIGURE1_MODEL = load_config(packaged_config("figure1.config")).model
+ORACLE1D_MODEL = load_config(packaged_config("oracle1d.config")).model
+
+
+class TestMpmathReference:
+    """Responsibilities, posterior means and LMMSE estimates against the
+    60-digit conditioning of :mod:`reference`, at six draws from each model
+    and the midpoints of consecutive observation-mixture means, where
+    neighbouring pairs share the weight.
+
+    The tolerances sit just above today's worst errors (responsibilities,
+    means, LMMSE): figure-1 3.6e-14, 4.4e-15, 4.3e-15; oracle1d 2.1e-16,
+    4.4e-16, 1.9e-16; the asymptotics model 1.6e-15, 3.7e-16, 4.0e-15;
+    criterion 2's models 8.9e-16, 5.4e-16, 3.5e-16.
+    """
+
+    @pytest.mark.parametrize("models, tolerances", [
+        ([(FIGURE1_MODEL, s) for s in (-10.0, 20.0, 50.0)], (1e-13, 1e-14, 1e-14)),
+        ([(ORACLE1D_MODEL, s) for s in (-5.0, 0.0, 5.0, 10.0, 15.0)], (5e-16, 1e-15, 5e-16)),
+        ([(asymptotics_model(), s) for s in (-10.0, 20.0, 50.0)], (5e-15, 1e-15, 1e-14)),
+        ([(model, None) for model in oracle_equivalence_models()], (2e-15, 1e-15, 1e-15)),
+    ], ids=["figure1", "oracle1d", "asymptotics", "criterion2"])
+    def test_posteriors(self, models, tolerances):
+        for model, snr_db in models:
+            if snr_db is not None:
+                model, _ = calibrate_noise_scale(model, snr_db)
+            obs = observation_mixture(model)
+            ys = np.vstack([obs.sample(6, 5), 0.5 * (obs.means[:-1] + obs.means[1:])])
+            for (kind, error), tol in zip(reference_errors(model, ys).items(), tolerances):
+                assert error <= tol, (kind, snr_db, error)
+
+
 def affine_lmmse_estimate(lmmse: LmmseEstimator, y) -> np.ndarray:
     """The LMMSE estimator's former affine formula, ``x_mean + (y - y_hat) G^T``,
-    read from its moment-matched pair: the bit-exact reference for the pair's
-    gain step that the estimator now runs."""
-    pair, y = lmmse.pair, np.asarray(y, dtype=float)
-    batch = y.reshape(-1, pair.model.observation_dim)
-    est = pair.x_means[0] + (batch - pair.obs.means[0]) @ pair.gains[0].T
+    read from its one moment-matched pair: the bit-exact reference for the
+    pair's gain step that the estimator now runs."""
+    y = np.asarray(y, dtype=float)
+    batch = y.reshape(-1, lmmse.model.observation_dim)
+    est = lmmse.x_means[0] + (batch - lmmse.obs.means[0]) @ lmmse.gains[0].T
     return est if y.ndim == 2 else est[0]
 
 
@@ -791,6 +859,21 @@ class TestLmmse:
         lmmse = LmmseEstimator(two_component_1d_model())
         with pytest.raises(ValidationError, match="non-finite"):
             lmmse.estimate(np.array([[0.5], [np.nan]]))
+
+    def test_overflowing_estimate_rejected(self):
+        # gain 66.7 (H = 0.01, unit-spread signal, noise variance 1e-4): a
+        # finite observation near the largest double has an estimate past it,
+        # an error as for the MMSE arm, and no numpy warning
+        x = GaussianMixture.from_parameters([0.5, 0.5], [[-1.0], [1.0]], [[[1.0]], [[1.0]]])
+        lmmse = LmmseEstimator(
+            BayesianLinearModel([[0.01]], x, GaussianMixture.single([0.0], [[1e-4]]))
+        )
+        for y in (1e307, -1.7e308):
+            with pytest.raises(ValidationError, match="observation 0 has a posterior mean"):
+                lmmse.estimate([y])
+            with pytest.raises(ValidationError, match="observation 2 has a posterior mean"):
+                lmmse.estimate([[0.0], [1e300], [y], [y]])
+        npt.assert_allclose(lmmse.estimate([1e300]), [2e302 / 3], rtol=1e-14)
 
     def test_scalar_observation_on_1d_model(self):
         lmmse = LmmseEstimator(two_component_1d_model())
@@ -863,6 +946,34 @@ class TestObservationDensityConsistency:
                 deviation = np.abs(pre.log_observation_pdfs(ys) - reference)
                 kappa = np.linalg.cond(pre.obs.chols)[:, None]
                 assert np.all(deviation <= 1e-13 * kappa * np.abs(reference))
+
+
+class TestLogPdfInputs:
+    """Both public per-component log-pdf entry points check their input:
+    ``PrecomputedEstimator.log_observation_pdfs`` and the observation
+    mixture's ``component_log_pdfs``, on oracle1d (m = 1)."""
+
+    @staticmethod
+    def entry_point(name: str):
+        pre = PrecomputedEstimator(ORACLE1D_MODEL)
+        return pre.log_observation_pdfs if name == "estimator" else pre.obs.component_log_pdfs
+
+    @pytest.mark.parametrize("name", ["estimator", "mixture"])
+    @pytest.mark.parametrize("bad, message", [
+        ([[np.nan]], "non-finite"),
+        ([[1.0, 2.0]], "dimension 2 != expected dimension 1"),  # not one 2-D point
+        (np.array([1.0, 2.0]), "dimension 2 != expected dimension 1"),
+    ], ids=["nan", "width-2 batch", "width-2 vector"])
+    def test_rejected(self, name, bad, message):
+        with pytest.raises(ValidationError, match=message):
+            self.entry_point(name)(bad)
+
+    @pytest.mark.parametrize("name", ["estimator", "mixture"])
+    def test_single_point_is_a_batch_of_one(self, name):
+        log_pdfs = self.entry_point(name)
+        npt.assert_array_equal(log_pdfs(np.array([0.5])), log_pdfs([[0.5]]))
+        npt.assert_array_equal(log_pdfs(0.5), log_pdfs([[0.5]]))
+        assert log_pdfs([[0.5]]).shape == (4, 1)
 
 
 # One estimator per observation dimension: m = 1, where a scalar is one

@@ -341,13 +341,16 @@ class TestRunSweep:
         # bit-identical to the one at the default 4096. The oracle1d sweep
         # gets 10,000 trials so that each block size splits it differently.
         # At 4097 trials the default blocking would leave a last block of one
-        # row, which numpy's products round differently.
+        # row, which numpy's products round differently. A random 4-D model
+        # with full H and covariances runs the general batched products.
         figure1 = load_config(packaged_config("figure1.config")).sweep_config()
         oracle1d = load_config(packaged_config("oracle1d.config")).sweep_config()
         if trials is None:
             configs = [
                 dataclasses.replace(figure1, snr_db_grid=(-10.0, 20.0, 50.0)),
                 dataclasses.replace(oracle1d, trials=10_000),
+                SweepConfig(random_model(np.random.default_rng(31), 4, 4, 3, 2),
+                            (-10.0, 20.0, 50.0), trials=10_000, seed=5),
             ]
         else:
             configs = [
