@@ -289,8 +289,13 @@ class LmmseEstimator(PrecomputedEstimator):
         overflow a double, raise :class:`ValidationError`.
         """
         batch, single = _as_batch(y, self.model.observation_dim, "observation")
-        with np.errstate(over="ignore", invalid="ignore"):
-            est = self._pair_means(self.obs._deviations(batch))[0].T
-        if not np.isfinite(est).all():
-            raise ValidationError(_MEAN_OVERFLOW.format(np.isfinite(est).all(axis=1).argmin()))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                est = self._pair_means(self.obs._deviations(batch))[0].T
+        except FloatingPointError:  # only now look for the first row that overflows
+            with np.errstate(over="ignore", invalid="ignore"):
+                est = self._pair_means(self.obs._deviations(batch))[0].T
+            finite = np.isfinite(est).all(axis=1)
+            if not finite.all():
+                raise ValidationError(_MEAN_OVERFLOW.format(finite.argmin())) from None
         return est[0] if single else est

@@ -6,20 +6,25 @@ of the analytic estimator: posterior density proportional to
 ``prior(x) * noise_density(y - H x)``, integrated with the trapezoid rule.
 
 The x grid spans every prior component mean by ``SPAN_SIGMAS`` = 12 component
-standard deviations, which puts the truncated tail mass below 1e-30. Log
-densities are shifted by their per-query peak (``mixture._peak``, as in every
-log-domain normalisation) before exponentiation, so the moment ratios stay
-well conditioned even when the absolute posterior scale underflows. The
+standard deviations, which puts the truncated tail mass below 1e-30. The
 three trapezoid sums (mass, first and second moment) of a block of queries
-are one matrix product against the stacked trapezoid weights.
+are one matrix product against the stacked trapezoid weights, and the
+posterior moments are their ratios, so a constant factor on a query's
+weights cancels. :func:`quad_posterior_mean` shifts each query's log
+posterior by its peak (``mixture._peak``, as in every log-domain
+normalisation) before exponentiation, so the moment ratios stay well
+conditioned even when the absolute posterior scale underflows, and it can
+report that absolute mass.
 
 :func:`quad_mse` puts its y grid on a lattice whose spacing is an integer
 multiple of ``|H| * dx``. Every residual ``y_i - H x_j`` then lies on one
-1-D lattice, so the noise log-density is evaluated once per lattice node
+1-D lattice, so the noise density is evaluated once per lattice node
 instead of once per (y, x) pair. Each row of residuals is then an evenly
 spaced run of lattice nodes, so a block of rows is a strided window onto
-the lattice (``sliding_window_view``), read while adding the log prior;
-no index array is built.
+the lattice (``sliding_window_view``); no index array is built. Its
+weights are factored: each cell is ``noise(node) * prior(x)``, and each
+factor is exponentiated once, shifted by its own peak, so a row's weights
+carry one constant factor, which cancels in its moments.
 """
 
 from __future__ import annotations
@@ -160,16 +165,30 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
     multiple ``s`` of ``q = |H| dx`` (``q = dx`` when ``H = 0``) that covers
     the observation mixture's ``SPAN_SIGMAS`` support with at most
     ``grid_points`` nodes. Then ``y_i - H x_j = r0 + (s i - sign(H) j) q``,
-    so the noise log-density is evaluated once per node of the whole lattice
+    so the noise density is evaluated once per node of the whole lattice
     and each block of y rows reads it as a strided window: rows step ``s``
     nodes, columns one node backwards when ``H > 0`` and forwards when
     ``H < 0``, and every column of a row is the same node when ``H = 0``.
-    The window is added to the log prior straight into the block's log
-    posterior, which is allocated once and reused. When the lattice would
-    hold more nodes than one block has entries (``|H|`` so small that ``s``
-    is large), each block evaluates the noise directly at its residuals
-    instead, formed from the same node indices by broadcasting, so memory
-    stays O(rows x grid) either way and no index array of that size exists.
+
+    The posterior weights are factored. The noise lattice is exponentiated
+    once, as ``exp(lattice - peak)``, and the prior once, as one ``(G, 3)``
+    matrix ``exp(log_prior - peak) * moment weights``. Each block is then
+    one copy of its window into a reused ``(rows, G)`` buffer and one
+    matrix product against that matrix. A row's weights are its exact
+    posterior times one constant, the row's observation density over the
+    exponentials of the two peaks, which cancels in the moment ratios. A
+    row whose factored mass underflows to exactly 0 contributes 0: where
+    the grid resolves the noise density, its observation density is then
+    below the last bit of the integral. The variance is
+    ``E[x^2|y] - E[x|y]^2`` from raw moments, so it loses about
+    ``eps * E[x^2|y] / Var[x|y]`` relative to cancellation.
+
+    When the lattice would hold more nodes than one block has entries
+    (``|H|`` so small that ``s`` is large), each block evaluates the noise
+    directly at its residuals instead, formed from the same node indices by
+    broadcasting, and shifts them by the block's own peak before the
+    ``exp``. Memory stays O(rows x grid) either way, and no index array of
+    that size exists.
     """
     x_grid, log_prior, moment_weights = _x_grid(model, spec)
     h = float(model.H[0, 0])
@@ -186,6 +205,8 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
     y_grid = low + y_index * step
     origin = low - h * x_grid[0]  # residual at lattice index 0
     density = np.exp(obs.log_density(y_grid))
+    # The prior factor of every cell, shifted by its peak, times the moment weights.
+    prior_weights = np.exp(log_prior - _peak(log_prior, axis=0))[:, None] * moment_weights
     # Lattice index of residual (i, j) is y_index[i] + column[j].
     column = -sign * np.arange(size)
     column_low, column_high = int(column.min()), int(column.max())
@@ -193,25 +214,30 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
     windows = None
     if nodes <= _CHUNK_ROWS * size:
         lattice = model.noise.log_density(origin + np.arange(column_low, column_low + nodes) * step)
-        # Row i of the residuals is lattice[stride i:][:size], reversed when
-        # H > 0; when H = 0 it is the one node lattice[stride i], broadcast
+        noise = np.exp(lattice - _peak(lattice, axis=0))
+        # Row i of the residuals is noise[stride i:][:size], reversed when
+        # H > 0; when H = 0 it is the one node noise[stride i], broadcast
         # against the prior.
-        windows = sliding_window_view(lattice, size if sign else 1)[::stride, ::-1 if sign > 0 else 1]
-    log_w = np.empty((_CHUNK_ROWS, size))
+        windows = sliding_window_view(noise, size if sign else 1)[::stride, ::-1 if sign > 0 else 1]
+    noise_block = np.empty((_CHUNK_ROWS, size))
 
     integrand = np.empty_like(y_grid)
     for start in range(0, y_count, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, y_count))
-        block = log_w[: rows.stop - start]
+        block = noise_block[: rows.stop - start]
         if windows is not None:
-            window = windows[rows]
+            np.copyto(block, windows[rows])
         else:
             # Integer node indices, each rounded to float once, then the residuals.
             np.add(y_index[rows, None], column, out=block)
             block *= step
             block += origin
-            window = model.noise.log_density(block.reshape(-1)).reshape(block.shape)
-        np.add(window, log_prior, out=block)
-        first, second, _ = _posterior_moments(block, moment_weights)
-        integrand[rows] = density[rows] * (second - first**2)
+            block[...] = model.noise.log_density(block.reshape(-1)).reshape(block.shape)
+            block -= _peak(block, axis=None)
+            np.exp(block, out=block)
+        mass, first, second = (block @ prior_weights).T
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero-mass row is nan here
+            mean = first / mass
+            variance = second / mass - mean**2
+        integrand[rows] = np.where(mass > 0.0, density[rows] * variance, 0.0)
     return float(np.trapezoid(integrand, y_grid))

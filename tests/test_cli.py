@@ -395,6 +395,21 @@ class TestOracleCheck:
         assert "PASS" in out
         assert "oracle check on 101 observation values" in out
 
+    @pytest.mark.parametrize("points", ["4001", "20001"])
+    def test_oracle1d_result_pinned(self, capsys, points):
+        # the quadrature MSE and both bounds to the printed digits, and the
+        # posterior means far inside the tolerance
+        code = main(["oracle-check", "--config", "oracle1d.config", "--grid-points", points])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert ("quad_mse = 0.478219893722; genie lower = 0.348571428571; "
+                "lmmse upper = 0.529253602925") in out.splitlines()
+        assert out.endswith("PASS (tolerance 1e-06)\n")
+        deviation = float(
+            re.search(r"max \|analytic - quadrature posterior mean\| = (\S+)", out).group(1)
+        )
+        assert deviation <= 1e-13
+
     def test_removed_span_option_exit_1(self, capsys):
         # the grid half-width is the fixed quadrature.SPAN_SIGMAS
         code = main(["oracle-check", "--config", "oracle1d.config", "--span-sigmas", "12"])

@@ -875,6 +875,20 @@ class TestLmmse:
                 lmmse.estimate([[0.0], [1e300], [y], [y]])
         npt.assert_allclose(lmmse.estimate([1e300]), [2e302 / 3], rtol=1e-14)
 
+    def test_overflowing_estimate_rejected_in_matrix_gain(self):
+        # the same gain on each of 3 axes: the gain step is a matrix product
+        # (BLAS) rather than the 1 x 1 multiply, and its overflow is found too
+        x = GaussianMixture.from_parameters(
+            [0.5, 0.5], [[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [np.eye(3)] * 2
+        )
+        lmmse = LmmseEstimator(BayesianLinearModel(
+            0.01 * np.eye(3), x, GaussianMixture.single(np.zeros(3), 1e-4 * np.eye(3))
+        ))
+        for y in ([1e307, 0.0, 0.0], [0.0, -1.7e308, 1e308]):
+            with pytest.raises(ValidationError, match="observation 2 has a posterior mean"):
+                lmmse.estimate([[0.0, 0.0, 0.0], [1e300, 0.0, 0.0], y, y])
+        npt.assert_allclose(lmmse.estimate([1e300, 0.0, 0.0]), [2e302 / 3, 0.0, 0.0], rtol=1e-14)
+
     def test_scalar_observation_on_1d_model(self):
         lmmse = LmmseEstimator(two_component_1d_model())
         est = lmmse.estimate(0.7)

@@ -13,6 +13,7 @@ from gmbayes import (
     PrecomputedEstimator,
     QuadratureSpec,
     ValidationError,
+    calibrate_noise_scale,
     estimate_mse,
     genie_lower_bound,
     lmmse_upper_bound,
@@ -73,13 +74,16 @@ def brute_force_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec) -> fl
     return float(np.trapezoid(np.exp(obs.log_density(y)) * variance, y))
 
 
-def gather_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec) -> float:
-    """Reference :func:`quad_mse` that gathers each block of the residual lattice by index.
+def lattice_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec, row_variances) -> float:
+    """:func:`quad_mse`'s y lattice and outer integral around a posterior variance rule.
 
-    The same y lattice and the same arithmetic as ``quad_mse``, but every
-    block is read through a ``(rows, grid)`` array of lattice indices with
-    ``np.take`` (or, when the lattice is too large, residuals formed from
-    those indices), then the log prior is added in a second pass.
+    Every block of y rows gathers its noise log-densities from the residual
+    lattice through a ``(rows, grid)`` array of lattice indices with
+    ``np.take`` (or, when the lattice is too large, evaluates them at
+    residuals formed from those indices). ``row_variances(log_noise, shift,
+    log_prior, moment_weights)`` turns a block into its rows' posterior
+    variances; ``shift`` is the lattice's peak, or in the direct branch the
+    block's own.
     """
     h = float(model.H[0, 0])
     x_grid = support_grid(model.x_prior, SPAN_SIGMAS, spec.grid_points)
@@ -101,25 +105,69 @@ def gather_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec) -> float:
     column = -sign * np.arange(size)
     column_low, column_high = int(column.min()), int(column.max())
     offsets = (stride * np.arange(_CHUNK_ROWS) - column_low)[:, None] + column[None, :]
-    log_w = np.empty(offsets.shape)
     nodes = int(y_index[-1]) + column_high - column_low + 1
     lattice = (model.noise.log_density(origin + np.arange(column_low, column_low + nodes) * step)
-               if nodes <= log_w.size else None)
+               if nodes <= offsets.size else None)
 
     integrand = np.empty_like(y_grid)
     for start in range(0, y_count, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, y_count))
         count = rows.stop - start
-        block = log_w[:count]
         if lattice is not None:
-            np.take(lattice[stride * start:], offsets[:count], out=block)
+            log_noise, shift = np.take(lattice[stride * start:], offsets[:count]), lattice.max()
         else:
             residual = origin + (column_low + stride * start + offsets[:count].reshape(-1)) * step
-            block[...] = model.noise.log_density(residual).reshape(block.shape)
-        block += log_prior
-        first, second, _ = _posterior_moments(block, moment_weights)
-        integrand[rows] = density[rows] * (second - first**2)
+            log_noise = model.noise.log_density(residual).reshape(count, size)
+            shift = log_noise.max()
+        integrand[rows] = density[rows] * row_variances(log_noise, shift, log_prior, moment_weights)
     return float(np.trapezoid(integrand, y_grid))
+
+
+def factored_moments(log_noise, shift, log_prior, moment_weights):
+    """Mass, first and second moment sums of each row under the weights
+    ``exp(log_noise - shift) x exp(log_prior - peak)``."""
+    prior_weights = np.exp(log_prior - log_prior.max())[:, None] * moment_weights
+    return (np.exp(log_noise - shift) @ prior_weights).T
+
+
+def factored_variances(log_noise, shift, log_prior, moment_weights):
+    """Posterior variances from :func:`factored_moments`; a row whose mass
+    underflows to 0 has variance 0."""
+    mass, first, second = factored_moments(log_noise, shift, log_prior, moment_weights)
+    live = mass > 0.0
+    variances = np.zeros_like(mass)
+    variances[live] = second[live] / mass[live] - (first[live] / mass[live]) ** 2
+    return variances
+
+
+def per_row_shift_variances(log_noise, shift, log_prior, moment_weights):
+    """Posterior variances from the log posterior shifted by each row's own peak,
+    the arithmetic :func:`quad_mse` used before it factored its weights."""
+    first, second, _ = _posterior_moments(log_noise + log_prior, moment_weights)
+    return second - first**2
+
+
+def gather_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec) -> float:
+    """Reference :func:`quad_mse`: its factored arithmetic on index-gathered blocks."""
+    return lattice_quad_mse(model, spec, factored_variances)
+
+
+def per_row_shift_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec) -> float:
+    """Reference :func:`quad_mse` as it was before the factored weights."""
+    return lattice_quad_mse(model, spec, per_row_shift_variances)
+
+
+def zero_mass_rows(model: BayesianLinearModel, spec: QuadratureSpec) -> tuple[int, int]:
+    """Rows of :func:`quad_mse`'s y lattice whose factored mass underflows to 0, of all rows."""
+    masses = []
+
+    def recording(*block):
+        masses.append(factored_moments(*block)[0])
+        return factored_variances(*block)
+
+    lattice_quad_mse(model, spec, recording)
+    masses = np.concatenate(masses)
+    return int(np.count_nonzero(masses == 0.0)), masses.size
 
 
 def quad_mse_work(monkeypatch, model: BayesianLinearModel, spec: QuadratureSpec) -> tuple[int, int]:
@@ -258,6 +306,31 @@ class TestQuadMse:
 
     def test_window_read_matches_gather_on_oracle1d(self):
         assert quad_mse(oracle1d_model(), SPEC) == gather_quad_mse(oracle1d_model(), SPEC)
+
+    @pytest.mark.parametrize("points", [1001, 4001])
+    @pytest.mark.parametrize("snr_db", range(-40, 41, 10))
+    def test_factored_weights_match_per_row_shift(self, snr_db, points):
+        # the factored weights round differently from the per-row shift, by
+        # a few ulps of the integral (worst seen 2.5e-13 relative)
+        model, _ = calibrate_noise_scale(oracle1d_model(), float(snr_db))
+        spec = QuadratureSpec(grid_points=points)
+        assert quad_mse(model, spec) == pytest.approx(per_row_shift_quad_mse(model, spec), rel=1e-12)
+
+    @pytest.mark.parametrize("points, zero_rows, rows", [(1001, 346, 512), (4001, 1386, 2044)])
+    def test_zero_mass_rows_contribute_nothing(self, points, zero_rows, rows):
+        # signal components at +-200: between them the y lattice has rows
+        # whose factored mass underflows to 0, and whose observation density
+        # is far below the last bit of the integral. The bound is above the
+        # raw-moment cancellation eps E[x^2|y] / Var[x|y], about 2e-11 here
+        # (seen 2.8e-11 at 1001 points and 1.3e-11 at 4001).
+        noise = oracle1d_model().noise
+        x = GaussianMixture.from_parameters([0.5, 0.5], [[-200.0], [200.0]], [[[1.0]], [[1.0]]])
+        model = BayesianLinearModel(np.array([[1.0]]), x, noise)
+        spec = QuadratureSpec(grid_points=points)
+        assert zero_mass_rows(model, spec) == (zero_rows, rows)
+        value = quad_mse(model, spec)
+        assert value == gather_quad_mse(model, spec)
+        assert value == pytest.approx(brute_force_quad_mse(model, spec), rel=5e-11)
 
     @pytest.mark.parametrize("h", [1.0, -3.0, 0.0])
     def test_lattice_evaluates_noise_on_few_points(self, monkeypatch, h):
