@@ -9,8 +9,11 @@ mixtures, but it is sandwiched by two computable bounds:
   component pair generated each observation,
 * LMMSE upper bound: the exact MSE of the best affine estimator.
 
-At extreme SNR the sandwich closes and the MMSE estimator collapses to
-simple limits: H^-1 y at high SNR, the prior mean at low SNR.
+At extreme SNR the MMSE estimator collapses to simple limits: H^-1 y at
+high SNR, the prior mean at low SNR. The sandwich closes only at high SNR,
+and only because this model's noise has one component: at low SNR the MMSE
+tends to tr C_x, the LMMSE bound's limit, while the genie bound tends to
+sum_k p_k tr C_k, which is smaller whenever the signal means differ.
 """
 
 import numpy as np
@@ -42,8 +45,10 @@ upper = lmmse_upper_bound(LmmseEstimator(model))
 print(f"bounds: lower = {lower:.6f}, upper = {upper:.6f}, "
       f"tr C_x = {np.trace(model.x_prior.covariance()):.6f}")
 
-# Rescaling the noise sweeps the SNR; both bounds grow with the noise and
-# the gap between them is widest in the mid-SNR transition region.
+# Rescaling the noise sweeps the SNR; both bounds grow with the noise. The
+# gap between them closes at high SNR and widens towards low SNR, where the
+# genie bound tends to sum_k p_k tr C_k = 1.55 and the LMMSE bound to
+# tr C_x = 6.99.
 print(f"\n{'snr_db':>8} {'genie lower':>12} {'lmmse upper':>12} {'gap':>10}")
 for target_db in (-20, -10, 0, 10, 20, 40):
     scaled, _ = calibrate_noise_scale(model, target_db)
@@ -67,8 +72,12 @@ y_low = low.x_prior.sample(1, seed=5)[0] @ low.H.T + low.noise.sample(1, seed=6)
 print("-100 dB: estimate          =", pre_low.estimate(y_low))
 print("         prior mean        =", model.x_prior.mean())
 
-# In both regimes the MMSE and LMMSE estimators coincide (the problem
-# becomes effectively Gaussian), which is why the bounds meet there.
+# In both regimes the MMSE and LMMSE estimates coincide (the problem
+# becomes effectively Gaussian), so the MMSE tends to the LMMSE bound at
+# both ends. The genie bound meets it only at high SNR: there the gap is the
+# spread of the noise means mapped through H^-1, zero for this model's one
+# noise component. At low SNR the gap is the spread of the signal means,
+# which the genie knows and a useless observation does not reveal.
 lin = LmmseEstimator(high)
 print("+100 dB: |MMSE - LMMSE|    =",
       float(np.linalg.norm(pre.estimate(y) - lin.estimate(y))))

@@ -27,6 +27,9 @@ Numerical conventions:
   exactly 0, zeroed before the ``exp`` and never evaluated: ``exp`` is up to
   a hundred times slower on inputs whose result is subnormal. A column of
   nothing but such lanes has zero density.
+* Every call that takes points, ``log_density`` included, reads them by
+  one rule (:func:`_as_batch`): one point ``(d,)`` (a scalar when ``d`` is
+  1) or a batch ``(n, d)``, so a 1-D mixture's batch is ``(n, 1)``.
 * Weights must sum to 1 within ``WEIGHT_SUM_TOL`` and are renormalized
   exactly once, at user-facing construction. Transform operations carry
   already-normalized weights through verbatim so that round-trips such as
@@ -230,15 +233,12 @@ class GaussianMixture:
     def log_density(self, x) -> np.ndarray | float:
         """Mixture log-density via log-sum-exp over components.
 
-        Accepts a single point of shape ``(d,)`` or a batch ``(n, d)``; for
-        1-D mixtures a scalar or a ``(n,)`` batch of scalars also works.
-        Wrong shapes and non-finite entries raise :class:`ValidationError`.
+        Accepts a single point of shape ``(d,)`` (a scalar when ``d`` is 1)
+        or a batch ``(n, d)``, as :func:`_as_batch` reads every point-taking
+        call. Wrong shapes and non-finite entries raise :class:`ValidationError`.
         The linear-domain density is never materialized, so points hundreds
         of standard deviations out still give finite values.
         """
-        x = np.asarray(x, dtype=float)
-        if self.dim == 1 and x.ndim == 1 and x.shape[0] != 1:
-            x = x[:, None]  # a batch of scalars
         points, single = _as_batch(x, self.dim, "point")
         logs = self._whitened_log_pdfs(self._deviations(points))
         out = _log_sum_exp(logs + self.log_weights[:, None])

@@ -24,7 +24,8 @@ spaced run of lattice nodes, so a block of rows is a strided window onto
 the lattice (``sliding_window_view``); no index array is built. Its
 weights are factored: each cell is ``noise(node) * prior(x)``, and each
 factor is exponentiated once, shifted by its own peak, so a row's weights
-carry one constant factor, which cancels in its moments.
+carry one constant factor, which cancels in its moments. A lattice too
+large for that falls back to :func:`quad_posterior_mean`'s per-row blocks.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ _SUPPORT_FLOOR = 1e-300
 _LOG_SUPPORT_FLOOR = math.log(_SUPPORT_FLOOR)
 
 _CHUNK_ROWS = 64
-# quad_posterior_mean evaluates the noise density at every residual of a
-# block, so its blocks are sized by residual count: about 64k residuals keep
+# The per-row blocks evaluate the noise density at every residual of a
+# block, so they are sized by residual count: about 64k residuals keep
 # the density kernel's temporaries at a few MB whatever the grid size.
 _RESIDUALS_PER_BLOCK = 1 << 16
 
@@ -76,7 +77,7 @@ def _x_grid(model: BayesianLinearModel, spec: QuadratureSpec):
             f"{model.signal_dim}, observation dim {model.observation_dim}"
         )
     grid = support_grid(model.x_prior, SPAN_SIGMAS, spec.grid_points)
-    return grid, model.x_prior.log_density(grid), _moment_weights(grid)
+    return grid, model.x_prior.log_density(grid[:, None]), _moment_weights(grid)
 
 
 def _support_interval(mixture: GaussianMixture, span_sigmas: float) -> tuple[float, float]:
@@ -118,6 +119,20 @@ def _posterior_moments(log_w: np.ndarray, moment_weights: np.ndarray):
         return first / mass, second / mass, shift + np.log(mass)
 
 
+def _row_moments(model: BayesianLinearModel, y: np.ndarray, grid, log_prior, moment_weights):
+    """Yield the row slice of each block of the 1-D ``y`` and its
+    :func:`_posterior_moments`, of the noise log-density at the block's about
+    ``_RESIDUALS_PER_BLOCK`` residuals ``y - H x`` plus the log prior."""
+    h = model.H[0, 0]
+    block_rows = max(1, _RESIDUALS_PER_BLOCK // grid.size)
+    for start in range(0, y.size, block_rows):
+        rows = slice(start, min(start + block_rows, y.size))
+        residual = y[rows, None] - h * grid[None, :]
+        log_w = model.noise.log_density(residual.reshape(-1, 1)).reshape(residual.shape)
+        log_w += log_prior
+        yield rows, _posterior_moments(log_w, moment_weights)
+
+
 def quad_posterior_mean(
     model: BayesianLinearModel,
     y,
@@ -136,15 +151,8 @@ def quad_posterior_mean(
         raise ValidationError(f"y must be scalar or 1-D, got shape {np.shape(y)}")
     if not np.all(np.isfinite(y_arr)):
         raise ValidationError("y has non-finite entries")
-    h = model.H[0, 0]
     means = np.empty_like(y_arr)
-    block_rows = max(1, _RESIDUALS_PER_BLOCK // grid.size)
-    for start in range(0, y_arr.size, block_rows):
-        rows = slice(start, min(start + block_rows, y_arr.size))
-        residual = y_arr[rows, None] - h * grid[None, :]
-        log_w = model.noise.log_density(residual.reshape(-1)).reshape(residual.shape)
-        log_w += log_prior
-        first, _, log_mass = _posterior_moments(log_w, moment_weights)
+    for rows, (first, _, log_mass) in _row_moments(model, y_arr, grid, log_prior, moment_weights):
         if np.any(log_mass < _LOG_SUPPORT_FLOOR):
             bad = y_arr[rows][log_mass < _LOG_SUPPORT_FLOOR][0]
             raise ValidationError(f"y = {bad:.6g} outside numerical support of the grid")
@@ -183,12 +191,8 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
     ``E[x^2|y] - E[x|y]^2`` from raw moments, so it loses about
     ``eps * E[x^2|y] / Var[x|y]`` relative to cancellation.
 
-    When the lattice would hold more nodes than one block has entries
-    (``|H|`` so small that ``s`` is large), each block evaluates the noise
-    directly at its residuals instead, formed from the same node indices by
-    broadcasting, and shifts them by the block's own peak before the
-    ``exp``. Memory stays O(rows x grid) either way, and no index array of
-    that size exists.
+    A lattice of more than ``_CHUNK_ROWS`` x grid nodes (tiny ``|H|``, or
+    low SNR) falls back to :func:`quad_posterior_mean`'s per-row blocks.
     """
     x_grid, log_prior, moment_weights = _x_grid(model, spec)
     h = float(model.H[0, 0])
@@ -203,41 +207,34 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
     y_count = min(size, math.ceil((high - low) / (stride * step)) + 1)
     y_index = stride * np.arange(y_count)  # lattice index of each y node
     y_grid = low + y_index * step
-    origin = low - h * x_grid[0]  # residual at lattice index 0
-    density = np.exp(obs.log_density(y_grid))
-    # The prior factor of every cell, shifted by its peak, times the moment weights.
-    prior_weights = np.exp(log_prior - _peak(log_prior, axis=0))[:, None] * moment_weights
+    density = np.exp(obs.log_density(y_grid[:, None]))
     # Lattice index of residual (i, j) is y_index[i] + column[j].
     column = -sign * np.arange(size)
     column_low, column_high = int(column.min()), int(column.max())
     nodes = int(y_index[-1]) + column_high - column_low + 1
-    windows = None
-    if nodes <= _CHUNK_ROWS * size:
-        lattice = model.noise.log_density(origin + np.arange(column_low, column_low + nodes) * step)
+
+    integrand = np.empty_like(y_grid)
+    if nodes > _CHUNK_ROWS * size:
+        for rows, (first, second, log_mass) in _row_moments(model, y_grid, x_grid, log_prior, moment_weights):
+            integrand[rows] = np.where(log_mass > -np.inf, density[rows] * (second - first**2), 0.0)
+    else:
+        origin = low - h * x_grid[0]  # residual at lattice index 0
+        lattice = model.noise.log_density(origin + np.arange(column_low, column_low + nodes)[:, None] * step)
         noise = np.exp(lattice - _peak(lattice, axis=0))
         # Row i of the residuals is noise[stride i:][:size], reversed when
         # H > 0; when H = 0 it is the one node noise[stride i], broadcast
         # against the prior.
         windows = sliding_window_view(noise, size if sign else 1)[::stride, ::-1 if sign > 0 else 1]
-    noise_block = np.empty((_CHUNK_ROWS, size))
-
-    integrand = np.empty_like(y_grid)
-    for start in range(0, y_count, _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, y_count))
-        block = noise_block[: rows.stop - start]
-        if windows is not None:
+        # The prior factor of every cell, shifted by its peak, times the moment weights.
+        prior_weights = np.exp(log_prior - _peak(log_prior, axis=0))[:, None] * moment_weights
+        noise_block = np.empty((_CHUNK_ROWS, size))
+        for start in range(0, y_count, _CHUNK_ROWS):
+            rows = slice(start, min(start + _CHUNK_ROWS, y_count))
+            block = noise_block[: rows.stop - start]
             np.copyto(block, windows[rows])
-        else:
-            # Integer node indices, each rounded to float once, then the residuals.
-            np.add(y_index[rows, None], column, out=block)
-            block *= step
-            block += origin
-            block[...] = model.noise.log_density(block.reshape(-1)).reshape(block.shape)
-            block -= _peak(block, axis=None)
-            np.exp(block, out=block)
-        mass, first, second = (block @ prior_weights).T
-        with np.errstate(divide="ignore", invalid="ignore"):  # a zero-mass row is nan here
-            mean = first / mass
-            variance = second / mass - mean**2
-        integrand[rows] = np.where(mass > 0.0, density[rows] * variance, 0.0)
+            mass, first, second = (block @ prior_weights).T
+            with np.errstate(divide="ignore", invalid="ignore"):  # a zero-mass row is nan here
+                mean = first / mass
+                variance = second / mass - mean**2
+            integrand[rows] = np.where(mass > 0.0, density[rows] * variance, 0.0)
     return float(np.trapezoid(integrand, y_grid))

@@ -643,12 +643,13 @@ class TestPosterior:
         )
         # reference: f(x|y) = f_x(x) f_n(y - x) / integral, evaluated on a grid
         grid = np.linspace(-8.0, 8.0, 20001)
-        log_joint = model.x_prior.log_density(grid) + model.noise.log_density(
-            float(y[0]) - grid
+        points = grid[:, None]
+        log_joint = model.x_prior.log_density(points) + model.noise.log_density(
+            float(y[0]) - points
         )
         weights = np.exp(log_joint - log_joint.max())
         reference = weights / np.trapezoid(weights, grid)
-        ours = np.exp(post_mix.log_density(grid))
+        ours = np.exp(post_mix.log_density(points))
         npt.assert_allclose(ours, reference, atol=1e-8)
 
     def test_responsibility_table_shape_and_sum(self):
@@ -700,7 +701,8 @@ class TestPosteriorCovariance:
         y = 0.0
         post = pre.posterior(np.array([y]))
         grid = np.linspace(-9.0, 9.0, 40001)
-        log_w = model.x_prior.log_density(grid) + model.noise.log_density(y - grid)
+        points = grid[:, None]
+        log_w = model.x_prior.log_density(points) + model.noise.log_density(y - points)
         w = np.exp(log_w - log_w.max())
         mass = np.trapezoid(w, grid)
         mean = np.trapezoid(w * grid, grid) / mass

@@ -231,7 +231,7 @@ class TestLogDensity:
         dup = GaussianMixture.from_parameters(
             [0.3, 0.7], [np.zeros(1), np.zeros(1)], [np.eye(1), np.eye(1)]
         )
-        xs = np.linspace(-3, 3, 11)
+        xs = np.linspace(-3, 3, 11)[:, None]
         npt.assert_allclose(dup.log_density(xs), single.log_density(xs), rtol=1e-14)
 
     def test_far_point_no_underflow(self):
@@ -264,13 +264,21 @@ class TestLogDensity:
             lo = float(np.min(mix.means)) - 10 * sigma
             hi = float(np.max(mix.means)) + 10 * sigma
             grid = np.linspace(lo, hi, 40001)
-            total = np.trapezoid(np.exp(mix.log_density(grid)), grid)
+            total = np.trapezoid(np.exp(mix.log_density(grid[:, None])), grid)
             assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_dimension_mismatch(self):
         mix = single_standard(2)
         with pytest.raises(ValidationError, match="dimension"):
             mix.log_density(np.zeros(3))
+        # a 1-D mixture reads a (2,) array as one point of width 2, as
+        # component_log_pdfs does, not as two scalars; a (1,) array is one point
+        mix = single_standard()
+        message = "point dimension 2 != expected dimension 1"
+        for call in (mix.log_density, mix.component_log_pdfs):
+            with pytest.raises(ValidationError, match=message):
+                call(np.zeros(2))
+        assert isinstance(mix.log_density(np.zeros(1)), float)
 
     def test_matches_scipy_mixture_in_three_dimensions(self):
         rng = np.random.default_rng(29)
@@ -306,7 +314,7 @@ class TestLogDensity:
                               np.ones((len(means), 1, 1)))
         x = np.array(points)
         logs = mix.component_log_pdfs(x[:, None]) + mix.log_weights[:, None]
-        npt.assert_array_equal(mix.log_density(x), reference_log_sum_exp(logs))
+        npt.assert_array_equal(mix.log_density(x[:, None]), reference_log_sum_exp(logs))
 
     @given(point=st.floats(-1e6, 1e6))
     @settings(max_examples=50, deadline=None)

@@ -25,6 +25,7 @@ from gmbayes import (
 )
 from gmbayes.quadrature import (
     _CHUNK_ROWS,
+    _RESIDUALS_PER_BLOCK,
     SPAN_SIGMAS,
     _moment_weights,
     _posterior_moments,
@@ -60,18 +61,18 @@ def brute_force_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec) -> fl
     obs = observation_mixture(model)
     x = support_grid(model.x_prior, SPAN_SIGMAS, spec.grid_points)
     y = support_grid(obs, SPAN_SIGMAS, spec.grid_points)
-    log_prior = model.x_prior.log_density(x)
+    log_prior = model.x_prior.log_density(x[:, None])
     variance = np.empty_like(y)
     for start in range(0, y.size, 64):
         rows = slice(start, start + 64)
         residual = y[rows, None] - h * x[None, :]
-        log_w = log_prior + model.noise.log_density(residual.ravel()).reshape(residual.shape)
+        log_w = log_prior + model.noise.log_density(residual.reshape(-1, 1)).reshape(residual.shape)
         w = np.exp(log_w - np.max(log_w, axis=1, keepdims=True))
         mass = np.trapezoid(w, x, axis=1)
         first = np.trapezoid(w * x, x, axis=1) / mass
         second = np.trapezoid(w * x**2, x, axis=1) / mass
         variance[rows] = second - first**2
-    return float(np.trapezoid(np.exp(obs.log_density(y)) * variance, y))
+    return float(np.trapezoid(np.exp(obs.log_density(y[:, None])) * variance, y))
 
 
 def lattice_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec, row_variances) -> float:
@@ -79,15 +80,16 @@ def lattice_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec, row_varia
 
     Every block of y rows gathers its noise log-densities from the residual
     lattice through a ``(rows, grid)`` array of lattice indices with
-    ``np.take`` (or, when the lattice is too large, evaluates them at
-    residuals formed from those indices). ``row_variances(log_noise, shift,
-    log_prior, moment_weights)`` turns a block into its rows' posterior
-    variances; ``shift`` is the lattice's peak, or in the direct branch the
-    block's own.
+    ``np.take``. ``row_variances(log_noise, shift, log_prior,
+    moment_weights)`` turns a block into its rows' posterior variances;
+    ``shift`` is the lattice's peak. When the lattice is too large, the rule
+    is :func:`per_row_shift_variances` on residuals ``y - H x`` in blocks of
+    ``_RESIDUALS_PER_BLOCK`` residuals, the arithmetic of ``quad_mse``'s
+    per-row fallback.
     """
     h = float(model.H[0, 0])
     x_grid = support_grid(model.x_prior, SPAN_SIGMAS, spec.grid_points)
-    log_prior = model.x_prior.log_density(x_grid)
+    log_prior = model.x_prior.log_density(x_grid[:, None])
     moment_weights = _moment_weights(x_grid)
     size = x_grid.size
     dx = (x_grid[-1] - x_grid[0]) / (size - 1)
@@ -101,25 +103,27 @@ def lattice_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec, row_varia
     y_index = stride * np.arange(y_count)
     y_grid = low + y_index * step
     origin = low - h * x_grid[0]
-    density = np.exp(obs.log_density(y_grid))
+    density = np.exp(obs.log_density(y_grid[:, None]))
     column = -sign * np.arange(size)
     column_low, column_high = int(column.min()), int(column.max())
     offsets = (stride * np.arange(_CHUNK_ROWS) - column_low)[:, None] + column[None, :]
     nodes = int(y_index[-1]) + column_high - column_low + 1
-    lattice = (model.noise.log_density(origin + np.arange(column_low, column_low + nodes) * step)
-               if nodes <= offsets.size else None)
 
     integrand = np.empty_like(y_grid)
+    if nodes > offsets.size:
+        block_rows = _RESIDUALS_PER_BLOCK // size
+        for start in range(0, y_count, block_rows):
+            rows = slice(start, start + block_rows)
+            residual = y_grid[rows, None] - h * x_grid[None, :]
+            log_noise = model.noise.log_density(residual.reshape(-1, 1)).reshape(residual.shape)
+            integrand[rows] = density[rows] * per_row_shift_variances(log_noise, None, log_prior, moment_weights)
+        return float(np.trapezoid(integrand, y_grid))
+
+    lattice = model.noise.log_density((origin + np.arange(column_low, column_low + nodes) * step)[:, None])
     for start in range(0, y_count, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, y_count))
-        count = rows.stop - start
-        if lattice is not None:
-            log_noise, shift = np.take(lattice[stride * start:], offsets[:count]), lattice.max()
-        else:
-            residual = origin + (column_low + stride * start + offsets[:count].reshape(-1)) * step
-            log_noise = model.noise.log_density(residual).reshape(count, size)
-            shift = log_noise.max()
-        integrand[rows] = density[rows] * row_variances(log_noise, shift, log_prior, moment_weights)
+        log_noise = np.take(lattice[stride * start:], offsets[: rows.stop - start])
+        integrand[rows] = density[rows] * row_variances(log_noise, lattice.max(), log_prior, moment_weights)
     return float(np.trapezoid(integrand, y_grid))
 
 
@@ -142,9 +146,10 @@ def factored_variances(log_noise, shift, log_prior, moment_weights):
 
 def per_row_shift_variances(log_noise, shift, log_prior, moment_weights):
     """Posterior variances from the log posterior shifted by each row's own peak,
-    the arithmetic :func:`quad_mse` used before it factored its weights."""
-    first, second, _ = _posterior_moments(log_noise + log_prior, moment_weights)
-    return second - first**2
+    the arithmetic :func:`quad_mse` used before it factored its weights and
+    still uses in its per-row fallback; a row of no mass has variance 0."""
+    first, second, log_mass = _posterior_moments(log_noise + log_prior, moment_weights)
+    return np.where(log_mass > -np.inf, second - first**2, 0.0)
 
 
 def gather_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec) -> float:
@@ -286,8 +291,8 @@ class TestQuadMse:
 
     @pytest.mark.parametrize("h", [1.0, 2.5, -3.0, 0.0, 1e-6, -1e-6])
     def test_matches_brute_force(self, h):
-        # 1e-6 and -1e-6 take the direct-evaluation branch; the window read
-        # gives the same bits as the index gather in both branches
+        # 1e-6 and -1e-6 take the per-row fallback, the others the window
+        # read, which gives the same bits as the index gather
         model = oracle1d_model(h)
         spec = QuadratureSpec(grid_points=1001)
         value = quad_mse(model, spec)
@@ -311,10 +316,15 @@ class TestQuadMse:
     @pytest.mark.parametrize("snr_db", range(-40, 41, 10))
     def test_factored_weights_match_per_row_shift(self, snr_db, points):
         # the factored weights round differently from the per-row shift, by
-        # a few ulps of the integral (worst seen 2.5e-13 relative)
+        # a few ulps of the integral (worst seen 2.5e-13 relative); at -30
+        # and -40 dB the lattice is too large and quad_mse runs the per-row
+        # shift itself, bit for bit
         model, _ = calibrate_noise_scale(oracle1d_model(), float(snr_db))
         spec = QuadratureSpec(grid_points=points)
-        assert quad_mse(model, spec) == pytest.approx(per_row_shift_quad_mse(model, spec), rel=1e-12)
+        value, reference = quad_mse(model, spec), per_row_shift_quad_mse(model, spec)
+        assert value == pytest.approx(reference, rel=1e-12)
+        if snr_db <= -30:
+            assert value == reference
 
     @pytest.mark.parametrize("points, zero_rows, rows", [(1001, 346, 512), (4001, 1386, 2044)])
     def test_zero_mass_rows_contribute_nothing(self, points, zero_rows, rows):
@@ -347,6 +357,14 @@ class TestQuadMse:
         count, peak = quad_mse_work(monkeypatch, oracle1d_model(), spec)
         assert count == nodes
         assert peak < 16e6
+
+    def test_per_row_fallback_memory_bounded(self, monkeypatch):
+        # at -40 dB the lattice is too large, and quad_mse's per-row blocks
+        # hold _RESIDUALS_PER_BLOCK residuals, 16 rows at 4001 points (peak
+        # seen 6.3 MB; 21.5 MB with the former 64-row blocks)
+        model, _ = calibrate_noise_scale(oracle1d_model(), -40.0)
+        _, peak = quad_mse_work(monkeypatch, model, SPEC)
+        assert peak < 12e6
 
     @pytest.mark.parametrize("h", [1e-6, -1e-6])
     def test_tiny_gain_work_bounded_by_brute_force(self, monkeypatch, h):
