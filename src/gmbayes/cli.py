@@ -164,7 +164,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="single-shot MMSE estimate for one observation")
     p.add_argument("--config", required=True, help="path to a .config file")
     p.add_argument("--y", required=True,
-                   help="observation vector, inline ('1.0, 2.0') or '@file'")
+                   help="observation vector, inline ('1.0, 2.0') or '@file'; "
+                        "write --y=-1e3 when it starts with '-'")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("sweep", help="run the SNR sweep and write CSV (and optional SVG)")

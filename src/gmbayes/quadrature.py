@@ -24,8 +24,11 @@ spaced run of lattice nodes, so a block of rows is a strided window onto
 the lattice (``sliding_window_view``); no index array is built. Its
 weights are factored: each cell is ``noise(node) * prior(x)``, and each
 factor is exponentiated once, shifted by its own peak, so a row's weights
-carry one constant factor, which cancels in its moments. A lattice too
-large for that falls back to :func:`quad_posterior_mean`'s per-row blocks.
+carry one constant factor, which cancels in its moments. One
+floating-point test, made before any lattice exists, sends a model whose
+lattice would be too large (tiny ``|H|``, or low SNR) to
+:func:`quad_posterior_mean`'s per-row blocks on the plain support grid
+instead, so every ``|H|`` works, down to the smallest subnormal.
 """
 
 from __future__ import annotations
@@ -169,10 +172,10 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
     built from the observation mixture. The observation density itself is
     evaluated exactly.
 
-    The y grid is a residual lattice: its spacing is the smallest integer
-    multiple ``s`` of ``q = |H| dx`` (``q = dx`` when ``H = 0``) that covers
-    the observation mixture's ``SPAN_SIGMAS`` support with at most
-    ``grid_points`` nodes. Then ``y_i - H x_j = r0 + (s i - sign(H) j) q``,
+    On the lattice path the y grid is a residual lattice: its spacing is the
+    smallest integer multiple ``s`` of ``q = |H| dx`` (``q = dx`` when
+    ``H = 0``) that covers the observation mixture's ``SPAN_SIGMAS`` support
+    with at most ``grid_points`` nodes. Then ``y_i - H x_j = r0 + (s i - sign(H) j) q``,
     so the noise density is evaluated once per node of the whole lattice
     and each block of y rows reads it as a strided window: rows step ``s``
     nodes, columns one node backwards when ``H > 0`` and forwards when
@@ -191,42 +194,40 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
     ``E[x^2|y] - E[x|y]^2`` from raw moments, so it loses about
     ``eps * E[x^2|y] / Var[x|y]`` relative to cancellation.
 
-    A lattice of more than ``_CHUNK_ROWS`` x grid nodes (tiny ``|H|``, or
-    low SNR) falls back to :func:`quad_posterior_mean`'s per-row blocks.
+    One floating-point test picks the path before any lattice exists: the
+    lattice iff the support spans at most ``_CHUNK_ROWS * G - w`` steps
+    ``q``, with ``w`` the nodes of one row (``G``, or 1 when ``H = 0``).
+    Otherwise (tiny ``|H|``, low SNR, or ``q`` underflowing to 0)
+    :func:`quad_posterior_mean`'s per-row blocks run on the plain ``G``-point
+    :func:`support_grid` of the observation mixture and form no lattice
+    index, so any ``|H|`` works, down to the smallest subnormal.
     """
     x_grid, log_prior, moment_weights = _x_grid(model, spec)
     h = float(model.H[0, 0])
     size = x_grid.size
     dx = (x_grid[-1] - x_grid[0]) / (size - 1)
     step = abs(h) * dx if h != 0.0 else dx
-    sign = int(np.sign(h))
-
+    width = size if h != 0.0 else 1  # lattice nodes in one row of residuals
     obs = observation_mixture(model)
     low, high = _support_interval(obs, SPAN_SIGMAS)
-    stride = max(1, math.ceil((high - low) / ((size - 1) * step)))
-    y_count = min(size, math.ceil((high - low) / (stride * step)) + 1)
-    y_index = stride * np.arange(y_count)  # lattice index of each y node
-    y_grid = low + y_index * step
-    density = np.exp(obs.log_density(y_grid[:, None]))
-    # Lattice index of residual (i, j) is y_index[i] + column[j].
-    column = -sign * np.arange(size)
-    column_low, column_high = int(column.min()), int(column.max())
-    nodes = int(y_index[-1]) + column_high - column_low + 1
 
-    integrand = np.empty_like(y_grid)
-    if nodes > _CHUNK_ROWS * size:
-        for rows, (first, second, log_mass) in _row_moments(model, y_grid, x_grid, log_prior, moment_weights):
-            integrand[rows] = np.where(log_mass > -np.inf, density[rows] * (second - first**2), 0.0)
-    else:
-        origin = low - h * x_grid[0]  # residual at lattice index 0
-        lattice = model.noise.log_density(origin + np.arange(column_low, column_low + nodes)[:, None] * step)
+    if 0.0 < step < math.inf and high - low <= (_CHUNK_ROWS * size - width) * step:
+        stride = max(1, math.ceil((high - low) / ((size - 1) * step)))
+        y_count = min(size, math.ceil((high - low) / (stride * step)) + 1)
+        y_grid = low + stride * np.arange(y_count) * step
+        # Residual (i, j) is lattice node stride i - sign(H) j; node 0 is
+        # residual (0, 0), and the lowest node is 1 - size when H > 0.
+        first_node = 1 - size if h > 0.0 else 0
+        nodes = np.arange(first_node, first_node + stride * (y_count - 1) + width)
+        lattice = model.noise.log_density((low - h * x_grid[0]) + nodes[:, None] * step)
         noise = np.exp(lattice - _peak(lattice, axis=0))
         # Row i of the residuals is noise[stride i:][:size], reversed when
         # H > 0; when H = 0 it is the one node noise[stride i], broadcast
         # against the prior.
-        windows = sliding_window_view(noise, size if sign else 1)[::stride, ::-1 if sign > 0 else 1]
+        windows = sliding_window_view(noise, width)[::stride, ::-1 if h > 0.0 else 1]
         # The prior factor of every cell, shifted by its peak, times the moment weights.
         prior_weights = np.exp(log_prior - _peak(log_prior, axis=0))[:, None] * moment_weights
+        variance = np.empty(y_count)
         noise_block = np.empty((_CHUNK_ROWS, size))
         for start in range(0, y_count, _CHUNK_ROWS):
             rows = slice(start, min(start + _CHUNK_ROWS, y_count))
@@ -235,6 +236,10 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
             mass, first, second = (block @ prior_weights).T
             with np.errstate(divide="ignore", invalid="ignore"):  # a zero-mass row is nan here
                 mean = first / mass
-                variance = second / mass - mean**2
-            integrand[rows] = np.where(mass > 0.0, density[rows] * variance, 0.0)
-    return float(np.trapezoid(integrand, y_grid))
+                variance[rows] = np.where(mass > 0.0, second / mass - mean**2, 0.0)
+    else:
+        y_grid = support_grid(obs, SPAN_SIGMAS, size)
+        variance = np.empty(size)
+        for rows, (first, second, log_mass) in _row_moments(model, y_grid, x_grid, log_prior, moment_weights):
+            variance[rows] = np.where(log_mass > -np.inf, second - first**2, 0.0)
+    return float(np.trapezoid(np.exp(obs.log_density(y_grid[:, None])) * variance, y_grid))

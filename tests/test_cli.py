@@ -150,6 +150,16 @@ class TestEstimate:
         assert main(["estimate", "--config", config, "--y", f"@{y_path}"]) == 0
         assert "xhat = [1]" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("config, y, printed", [
+        ("oracle1d.config", "-1e3", "y = [-1000]"),
+        ("figure1.config", "-1,0,0,0,0", "y = [-1, 0, 0, 0, 0]"),
+    ])
+    def test_leading_minus_joined_to_option(self, capsys, config, y, printed):
+        # argparse reads a separate "-1e3" or "-1,0,0,0,0" as an option;
+        # joined to --y by "=" it is the value
+        assert main(["estimate", "--config", config, f"--y={y}"]) == 0
+        assert printed in capsys.readouterr().out.splitlines()
+
     def test_figure1_alpha_table_shape(self, capsys):
         argv = ["estimate", "--config", "figure1.config",
                 "--y", "35.0, -20.0, -6.0, 24.0, 39.0"]
@@ -456,6 +466,18 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "quad_mse escapes [lower, upper]" in out
         assert out.endswith("FAIL (tolerance 1e-06)\n")
+
+    @pytest.mark.parametrize("h", [1e-19, 1e-200])
+    def test_degenerate_gain_passes(self, tmp_path, capsys, h):
+        # |H| far too small for a residual lattice: quad_mse runs its per-row
+        # path and gets the no-information MSE Var[x] = 3.5625, the LMMSE bound
+        doc = json.loads(packaged_config("oracle1d.config").read_text())
+        doc["model"]["H"] = [[h]]
+        config = write_config(tmp_path, doc)
+        assert main(["oracle-check", "--config", config, "--grid-points", "1001"]) == 0
+        out = capsys.readouterr().out
+        assert "quad_mse = 3.5625; genie lower = 0.99; lmmse upper = 3.5625" in out.splitlines()
+        assert out.endswith("PASS (tolerance 1e-06)\n")
 
     def test_multidimensional_model_rejected(self, capsys):
         assert main(["oracle-check", "--config", "figure1.config"]) == 1

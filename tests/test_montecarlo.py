@@ -17,6 +17,7 @@ from gmbayes import (
     PrecomputedEstimator,
     SweepConfig,
     ValidationError,
+    calibrate_noise_scale,
     derive_seed,
     estimate_mse,
     genie_lower_bound,
@@ -36,6 +37,15 @@ def scalar_wiener_model() -> BayesianLinearModel:
 
 def oracle_model():
     return load_config(packaged_config("oracle1d.config")).model
+
+
+def demo03_model() -> BayesianLinearModel:
+    """Demo 03's model: H = I, a two-component signal prior, one noise component."""
+    x = GaussianMixture.from_parameters(
+        [0.25, 0.75], [[-3.0, 1.0], [2.0, -1.0]], [0.4 * np.eye(2), 0.9 * np.eye(2)]
+    )
+    noise = GaussianMixture.single(np.zeros(2), np.eye(2))
+    return BayesianLinearModel(np.eye(2), x, noise)
 
 
 def fsum_mean_stderr(errors: np.ndarray) -> tuple[float, float]:
@@ -155,6 +165,22 @@ class TestEstimateMse:
         mse, stderr = estimate_mse(model, 100_000, seed=7)
         assert genie_lower_bound(PrecomputedEstimator(model)) - 3 * stderr <= mse
         assert mse <= lmmse_upper_bound(LmmseEstimator(model)) + 3 * stderr
+
+    @pytest.mark.parametrize("snr_db", [-60.0, 60.0])
+    def test_sandwich_limits_on_demo03(self, snr_db):
+        # At low SNR the MMSE tends to tr C_xx, the LMMSE bound's limit (6.987
+        # at -60 dB), while the genie bound tends to sum_k p_k tr C_k (1.55);
+        # the gap is the spread of the signal means. At high SNR the one noise
+        # component closes the sandwich: both bounds are 7.80e-6 at +60 dB.
+        model, _ = calibrate_noise_scale(demo03_model(), snr_db)
+        mse, stderr = estimate_mse(model, 20_000, seed=1)
+        genie = genie_lower_bound(PrecomputedEstimator(model))
+        lmmse = lmmse_upper_bound(LmmseEstimator(model))
+        assert abs(mse - lmmse) <= 3 * stderr
+        if snr_db < 0:
+            assert mse - genie > 10 * stderr
+        else:
+            assert abs(mse - genie) <= 3 * stderr
 
     def test_deterministic(self):
         model = oracle_model()

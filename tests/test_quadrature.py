@@ -82,10 +82,12 @@ def lattice_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec, row_varia
     lattice through a ``(rows, grid)`` array of lattice indices with
     ``np.take``. ``row_variances(log_noise, shift, log_prior,
     moment_weights)`` turns a block into its rows' posterior variances;
-    ``shift`` is the lattice's peak. When the lattice is too large, the rule
-    is :func:`per_row_shift_variances` on residuals ``y - H x`` in blocks of
-    ``_RESIDUALS_PER_BLOCK`` residuals, the arithmetic of ``quad_mse``'s
-    per-row fallback.
+    ``shift`` is the lattice's peak. When the lattice would span more than
+    ``_CHUNK_ROWS`` x grids, by ``quad_mse``'s test made before any lattice
+    exists, the y grid is the plain :func:`support_grid` of the observation
+    mixture and the rule is :func:`per_row_shift_variances` on residuals
+    ``y - H x`` in blocks of ``_RESIDUALS_PER_BLOCK`` residuals, the
+    arithmetic of ``quad_mse``'s per-row path.
     """
     h = float(model.H[0, 0])
     x_grid = support_grid(model.x_prior, SPAN_SIGMAS, spec.grid_points)
@@ -94,10 +96,23 @@ def lattice_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec, row_varia
     size = x_grid.size
     dx = (x_grid[-1] - x_grid[0]) / (size - 1)
     step = abs(h) * dx if h != 0.0 else dx
-    sign = int(np.sign(h))
-
+    width = size if h != 0.0 else 1
     obs = observation_mixture(model)
     low, high = _support_interval(obs, SPAN_SIGMAS)
+
+    if not (0.0 < step < math.inf and high - low <= (_CHUNK_ROWS * size - width) * step):
+        y_grid = support_grid(obs, SPAN_SIGMAS, size)
+        density = np.exp(obs.log_density(y_grid[:, None]))
+        integrand = np.empty_like(y_grid)
+        block_rows = _RESIDUALS_PER_BLOCK // size
+        for start in range(0, size, block_rows):
+            rows = slice(start, start + block_rows)
+            residual = y_grid[rows, None] - h * x_grid[None, :]
+            log_noise = model.noise.log_density(residual.reshape(-1, 1)).reshape(residual.shape)
+            integrand[rows] = density[rows] * per_row_shift_variances(log_noise, None, log_prior, moment_weights)
+        return float(np.trapezoid(integrand, y_grid))
+
+    sign = int(np.sign(h))
     stride = max(1, math.ceil((high - low) / ((size - 1) * step)))
     y_count = min(size, math.ceil((high - low) / (stride * step)) + 1)
     y_index = stride * np.arange(y_count)
@@ -110,15 +125,6 @@ def lattice_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec, row_varia
     nodes = int(y_index[-1]) + column_high - column_low + 1
 
     integrand = np.empty_like(y_grid)
-    if nodes > offsets.size:
-        block_rows = _RESIDUALS_PER_BLOCK // size
-        for start in range(0, y_count, block_rows):
-            rows = slice(start, start + block_rows)
-            residual = y_grid[rows, None] - h * x_grid[None, :]
-            log_noise = model.noise.log_density(residual.reshape(-1, 1)).reshape(residual.shape)
-            integrand[rows] = density[rows] * per_row_shift_variances(log_noise, None, log_prior, moment_weights)
-        return float(np.trapezoid(integrand, y_grid))
-
     lattice = model.noise.log_density((origin + np.arange(column_low, column_low + nodes) * step)[:, None])
     for start in range(0, y_count, _CHUNK_ROWS):
         rows = slice(start, min(start + _CHUNK_ROWS, y_count))
@@ -147,7 +153,7 @@ def factored_variances(log_noise, shift, log_prior, moment_weights):
 def per_row_shift_variances(log_noise, shift, log_prior, moment_weights):
     """Posterior variances from the log posterior shifted by each row's own peak,
     the arithmetic :func:`quad_mse` used before it factored its weights and
-    still uses in its per-row fallback; a row of no mass has variance 0."""
+    still uses on its per-row path; a row of no mass has variance 0."""
     first, second, log_mass = _posterior_moments(log_noise + log_prior, moment_weights)
     return np.where(log_mass > -np.inf, second - first**2, 0.0)
 
@@ -291,8 +297,9 @@ class TestQuadMse:
 
     @pytest.mark.parametrize("h", [1.0, 2.5, -3.0, 0.0, 1e-6, -1e-6])
     def test_matches_brute_force(self, h):
-        # 1e-6 and -1e-6 take the per-row fallback, the others the window
-        # read, which gives the same bits as the index gather
+        # 1e-6 and -1e-6 take the per-row path on the plain support grid,
+        # which the reference mirrors; the others the window read, which
+        # gives the same bits as the index gather
         model = oracle1d_model(h)
         spec = QuadratureSpec(grid_points=1001)
         value = quad_mse(model, spec)
@@ -317,8 +324,9 @@ class TestQuadMse:
     def test_factored_weights_match_per_row_shift(self, snr_db, points):
         # the factored weights round differently from the per-row shift, by
         # a few ulps of the integral (worst seen 2.5e-13 relative); at -30
-        # and -40 dB the lattice is too large and quad_mse runs the per-row
-        # shift itself, bit for bit
+        # and -40 dB the lattice would be too large, and quad_mse runs the
+        # per-row shift itself on the plain support grid, as the reference
+        # does, bit for bit
         model, _ = calibrate_noise_scale(oracle1d_model(), float(snr_db))
         spec = QuadratureSpec(grid_points=points)
         value, reference = quad_mse(model, spec), per_row_shift_quad_mse(model, spec)
@@ -368,10 +376,24 @@ class TestQuadMse:
 
     @pytest.mark.parametrize("h", [1e-6, -1e-6])
     def test_tiny_gain_work_bounded_by_brute_force(self, monkeypatch, h):
-        # the lattice stride exceeds the grid: residuals are evaluated directly
+        # the lattice would span more than _CHUNK_ROWS x grids: quad_mse
+        # evaluates all grid_points**2 residuals of the plain support grid
         spec = QuadratureSpec(grid_points=1001)
         count, _ = quad_mse_work(monkeypatch, oracle1d_model(h), spec)
         assert spec.grid_points**2 // 2 <= count <= spec.grid_points**2
+
+    @pytest.mark.parametrize("h", [-1e-17, 3e-18, 1e-19, 1e-25, 1e-200, 1e-310, 5e-324, -5e-324])
+    def test_degenerate_gain_matches_brute_force(self, h):
+        # |H| dx is far too small for a residual lattice, or underflows to 0
+        # at +-5e-324: quad_mse takes the per-row path on the plain support
+        # grid, which forms no lattice index, and returns the no-information
+        # MSE Var[x] = 3.5625 to rounding
+        model = oracle1d_model(h)
+        spec = QuadratureSpec(grid_points=1001)
+        value = quad_mse(model, spec)
+        assert value == pytest.approx(brute_force_quad_mse(model, spec), rel=1e-12)
+        genie = genie_lower_bound(PrecomputedEstimator(model))
+        assert genie - 1e-8 <= value <= lmmse_upper_bound(LmmseEstimator(model)) + 1e-8
 
     def test_grid_convergence(self):
         model = oracle1d_model()
