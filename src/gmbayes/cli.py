@@ -184,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="compare the analytic estimator against the 1-D quadrature oracle")
     p.add_argument("--config", required=True, help="path to a 1-D .config file")
     p.add_argument("--grid-points", type=int, default=QuadratureSpec.grid_points,
-                   help="quadrature grid size (odd, >= 1001)")
+                   help="quadrature grid size (odd, 1001 to 100001)")
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

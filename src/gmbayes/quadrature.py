@@ -10,18 +10,21 @@ standard deviations, which puts the truncated tail mass below 1e-30. The
 three trapezoid sums (mass, first and second moment) of a block of queries
 are one matrix product against the stacked trapezoid weights, and the
 posterior moments are their ratios, so a constant factor on a query's
-weights cancels. :func:`quad_posterior_mean` shifts each query's log
-posterior by its peak (``mixture._peak``, as in every log-domain
-normalisation) before exponentiation, so the moment ratios stay well
-conditioned even when the absolute posterior scale underflows, and it can
-report that absolute mass.
+weights cancels. :func:`quad_posterior_mean` factors each query's weights
+by noise component: cell ``(l, j)`` is ``q_l N_l(y - H x_j) prior(x_j)``,
+from the per-component noise log-densities with no log-sum-exp. It shifts
+each query's cells by their peak (``mixture._peak``, as in every
+log-domain normalisation) and exponentiates each cell once, so the moment
+ratios stay well conditioned even when the absolute posterior scale
+underflows, and it can report that absolute mass.
 
 :func:`quad_mse` puts its y grid on a lattice whose spacing is an integer
 multiple of ``|H| * dx``. Every residual ``y_i - H x_j`` then lies on one
 1-D lattice, so the noise density is evaluated once per lattice node
 instead of once per (y, x) pair. Each row of residuals is then an evenly
 spaced run of lattice nodes, so a block of rows is a strided window onto
-the lattice (``sliding_window_view``); no index array is built. Its
+the lattice (``sliding_window_view``), laid out so that each row reads it
+forward; no index array is built. Its
 weights are factored: each cell is ``noise(node) * prior(x)``, and each
 factor is exponentiated once, shifted by its own peak, so a row's weights
 carry one constant factor, which cancels in its moments. One
@@ -52,6 +55,10 @@ _SUPPORT_FLOOR = 1e-300
 _LOG_SUPPORT_FLOOR = math.log(_SUPPORT_FLOOR)
 
 _CHUNK_ROWS = 64
+# quad_mse's largest arrays, its (_CHUNK_ROWS, G) block and each noise
+# component's array over a lattice of at most _CHUNK_ROWS G nodes, take
+# 512 G bytes: this cap on G keeps each near 51 MB.
+_MAX_GRID_POINTS = 100_001
 # The per-row blocks evaluate the noise density at every residual of a
 # block, so they are sized by residual count: about 64k residuals keep
 # the density kernel's temporaries at a few MB whatever the grid size.
@@ -60,15 +67,20 @@ _RESIDUALS_PER_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Grid resolution: an odd point count of at least 1001."""
+    """Grid resolution: an odd point count from 1001 to 100 001.
+
+    The cap bounds the oracle's largest arrays: ``quad_mse``'s block of 64
+    grid rows, and each noise component's array over its lattice of at most
+    64 grids, take 512 bytes per grid point, about 51 MB at the cap.
+    """
 
     grid_points: int = 20001
 
     def __post_init__(self):
         object.__setattr__(self, "grid_points", _integer("grid_points", self.grid_points))
-        if self.grid_points < 1001 or self.grid_points % 2 == 0:
+        if not 1001 <= self.grid_points <= _MAX_GRID_POINTS or self.grid_points % 2 == 0:
             raise ValidationError(
-                f"grid_points {self.grid_points} must be odd and at least 1001"
+                f"grid_points {self.grid_points} must be odd and from 1001 to {_MAX_GRID_POINTS}"
             )
 
 
@@ -107,33 +119,36 @@ def _moment_weights(grid: np.ndarray) -> np.ndarray:
     return np.column_stack([weights, weights * grid, weights * grid**2])
 
 
-def _posterior_moments(log_w: np.ndarray, moment_weights: np.ndarray):
-    """First/second posterior moments and absolute log-mass for each row of ``log_w``.
-
-    ``log_w`` holds the unnormalized log posterior of one query per row on
-    the x grid; it is a work array and is overwritten. ``log_mass`` is the log of
-    the unnormalized posterior mass, the denominator of Bayes' rule before
-    normalization by the y density; it is ``-inf`` for a row of ``-inf``.
-    """
-    shift = _peak(log_w, axis=1)
-    log_w -= shift[:, None]
-    mass, first, second = (np.exp(log_w, out=log_w) @ moment_weights).T
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero mass: moments nan, log_mass -inf
-        return first / mass, second / mass, shift + np.log(mass)
-
-
 def _row_moments(model: BayesianLinearModel, y: np.ndarray, grid, log_prior, moment_weights):
-    """Yield the row slice of each block of the 1-D ``y`` and its
-    :func:`_posterior_moments`, of the noise log-density at the block's about
-    ``_RESIDUALS_PER_BLOCK`` residuals ``y - H x`` plus the log prior."""
-    h = model.H[0, 0]
+    """Yield the row slice of each block of the 1-D ``y`` and its rows'
+    first and second posterior moments and absolute log-mass.
+
+    A block holds about ``_RESIDUALS_PER_BLOCK`` residuals ``y - H x``. Its
+    weights are factored by noise component: cell ``(l, j)`` of a row is
+    ``q_l N_l(y - H x_j) prior(x_j)``, with the per-component noise
+    log-densities from the stacked kernel and no log-sum-exp. Each row is
+    shifted by the :func:`_peak` of its ``L x G`` cells and every cell is
+    exponentiated once; the cells are summed over components and the sums
+    are one matrix product against the moment weights. ``log_mass`` is
+    ``shift + log(mass)``, the log of the unnormalized posterior mass, the
+    denominator of Bayes' rule before normalization by the y density; it
+    is ``-inf`` for a row of no mass, whose moments are then nan.
+    """
+    noise = model.noise
+    h_grid = model.H[0, 0] * grid
+    # log q_l + log prior(x_j): each cell's terms other than its noise density.
+    table = noise.log_weights[:, None, None] + log_prior[None, None, :]
     block_rows = max(1, _RESIDUALS_PER_BLOCK // grid.size)
     for start in range(0, y.size, block_rows):
         rows = slice(start, min(start + block_rows, y.size))
-        residual = y[rows, None] - h * grid[None, :]
-        log_w = model.noise.log_density(residual.reshape(-1, 1)).reshape(residual.shape)
-        log_w += log_prior
-        yield rows, _posterior_moments(log_w, moment_weights)
+        residual = y[rows, None] - h_grid[None, :]
+        logs = noise.component_log_pdfs(residual.reshape(-1, 1)).reshape((len(noise),) + residual.shape)
+        logs += table
+        shift = _peak(logs, axis=(0, 2))
+        logs -= shift[:, None]
+        mass, first, second = (np.exp(logs, out=logs).sum(axis=0) @ moment_weights).T
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero mass: moments nan, log_mass -inf
+            yield rows, (first / mass, second / mass, shift + np.log(mass))
 
 
 def quad_posterior_mean(
@@ -144,9 +159,13 @@ def quad_posterior_mean(
     """Posterior mean E[x | y] by direct numerical integration.
 
     ``y`` may be a scalar or a 1-D array of observation values; the return
-    matches (float or 1-D array). Raises :class:`ValidationError` when the
-    posterior mass at some requested ``y`` underflows the support floor,
-    i.e. the observation lies outside the grid's numerical support.
+    matches (float or 1-D array). The noise density is evaluated per
+    component at every residual ``y - H x`` of the grid, and each query's
+    weights are its ``L x G`` cells ``q_l N_l(y - H x_j) prior(x_j)``,
+    shifted by their peak and exponentiated once. Raises
+    :class:`ValidationError` when the posterior mass at some requested
+    ``y`` underflows the support floor, i.e. the observation lies outside
+    the grid's numerical support.
     """
     grid, log_prior, moment_weights = _x_grid(model, spec)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
@@ -178,8 +197,9 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
     with at most ``grid_points`` nodes. Then ``y_i - H x_j = r0 + (s i - sign(H) j) q``,
     so the noise density is evaluated once per node of the whole lattice
     and each block of y rows reads it as a strided window: rows step ``s``
-    nodes, columns one node backwards when ``H > 0`` and forwards when
-    ``H < 0``, and every column of a row is the same node when ``H = 0``.
+    nodes, and every column of a row is the same node when ``H = 0``. The
+    lattice runs from its top node down when ``H > 0``, so the columns of
+    a row read it forward, one node a column, whatever the sign of ``H``.
 
     The posterior weights are factored. The noise lattice is exponentiated
     once, as ``exp(lattice - peak)``, and the prior once, as one ``(G, 3)``
@@ -198,7 +218,8 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
     lattice iff the support spans at most ``_CHUNK_ROWS * G - w`` steps
     ``q``, with ``w`` the nodes of one row (``G``, or 1 when ``H = 0``).
     Otherwise (tiny ``|H|``, low SNR, or ``q`` underflowing to 0)
-    :func:`quad_posterior_mean`'s per-row blocks run on the plain ``G``-point
+    :func:`quad_posterior_mean`'s per-row blocks, with their weights
+    factored by noise component, run on the plain ``G``-point
     :func:`support_grid` of the observation mixture and form no lattice
     index, so any ``|H|`` works, down to the smallest subnormal.
     """
@@ -216,15 +237,17 @@ def quad_mse(model: BayesianLinearModel, spec: QuadratureSpec = QuadratureSpec()
         y_count = min(size, math.ceil((high - low) / (stride * step)) + 1)
         y_grid = low + stride * np.arange(y_count) * step
         # Residual (i, j) is lattice node stride i - sign(H) j; node 0 is
-        # residual (0, 0), and the lowest node is 1 - size when H > 0.
-        first_node = 1 - size if h > 0.0 else 0
-        nodes = np.arange(first_node, first_node + stride * (y_count - 1) + width)
+        # residual (0, 0). The lattice runs from node 0 up, or from the top
+        # node stride (y_count - 1) down when H > 0, so that every row reads
+        # its window forward (the rows' windows are then taken in reverse);
+        # when H = 0 row i is the one node noise[stride i], broadcast
+        # against the prior.
+        top = stride * (y_count - 1)
+        reach = np.arange(top + width)
+        nodes = top - reach if h > 0.0 else reach
         lattice = model.noise.log_density((low - h * x_grid[0]) + nodes[:, None] * step)
         noise = np.exp(lattice - _peak(lattice, axis=0))
-        # Row i of the residuals is noise[stride i:][:size], reversed when
-        # H > 0; when H = 0 it is the one node noise[stride i], broadcast
-        # against the prior.
-        windows = sliding_window_view(noise, width)[::stride, ::-1 if h > 0.0 else 1]
+        windows = sliding_window_view(noise, width)[::-stride if h > 0.0 else stride]
         # The prior factor of every cell, shifted by its peak, times the moment weights.
         prior_weights = np.exp(log_prior - _peak(log_prior, axis=0))[:, None] * moment_weights
         variance = np.empty(y_count)

@@ -489,6 +489,15 @@ class TestOracleCheck:
         assert code == 1
         assert "odd" in capsys.readouterr().err
 
+    def test_grid_points_above_cap_exit_1(self, capsys):
+        # rejected when the spec is built, before any quadrature runs
+        code = main(["oracle-check", "--config", "oracle1d.config",
+                     "--grid-points", "100003"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "grid_points 100003 must be odd and from 1001 to 100001" in err
+
 
 class TestEntryPoint:
     def test_installed_console_script(self):

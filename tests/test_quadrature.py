@@ -23,12 +23,13 @@ from gmbayes import (
     quad_mse,
     quad_posterior_mean,
 )
+from gmbayes.mixture import _peak
 from gmbayes.quadrature import (
     _CHUNK_ROWS,
+    _MAX_GRID_POINTS,
     _RESIDUALS_PER_BLOCK,
     SPAN_SIGMAS,
     _moment_weights,
-    _posterior_moments,
     _support_interval,
     support_grid,
 )
@@ -75,7 +76,56 @@ def brute_force_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec) -> fl
     return float(np.trapezoid(np.exp(obs.log_density(y[:, None])) * variance, y))
 
 
-def lattice_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec, row_variances) -> float:
+def posterior_moments_before(log_w: np.ndarray, moment_weights: np.ndarray):
+    """First/second posterior moments and absolute log-mass of each row of the
+    log posterior ``log_w``, shifted by the row's peak: the per-row arithmetic
+    of the quadrature before its weights were factored by noise component,
+    frozen here as the "before" reference. ``log_w`` is overwritten."""
+    shift = _peak(log_w, axis=1)
+    log_w -= shift[:, None]
+    mass, first, second = (np.exp(log_w, out=log_w) @ moment_weights).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return first / mass, second / mass, shift + np.log(mass)
+
+
+def row_moments_before(noise: GaussianMixture, residual, log_prior, moment_weights):
+    """:func:`posterior_moments_before` of the noise mixture's log-density at a
+    ``(rows, grid)`` block of residuals plus the log prior."""
+    log_w = noise.log_density(residual.reshape(-1, 1)).reshape(residual.shape)
+    log_w += log_prior
+    return posterior_moments_before(log_w, moment_weights)
+
+
+def factored_row_moments(noise: GaussianMixture, residual, log_prior, moment_weights):
+    """The per-row arithmetic of :func:`quad_posterior_mean` and ``quad_mse``'s
+    per-row path: cells ``log q_l + log N_l(residual) + log prior``, shifted by
+    the peak of each row's ``L x grid`` cells, exponentiated, summed over
+    components and multiplied by the moment weights."""
+    cells = noise.component_log_pdfs(residual.reshape(-1, 1)).reshape((len(noise),) + residual.shape)
+    cells += noise.log_weights[:, None, None] + log_prior[None, None, :]
+    shift = _peak(cells, axis=(0, 2))
+    weights = np.exp(cells - shift[:, None]).sum(axis=0)
+    mass, first, second = (weights @ moment_weights).T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return first / mass, second / mass, shift + np.log(mass)
+
+
+def quad_posterior_mean_before(model: BayesianLinearModel, y, spec: QuadratureSpec):
+    """:func:`quad_posterior_mean` as it was before its weights were factored
+    by noise component, on blocks of 16 rows."""
+    x = support_grid(model.x_prior, SPAN_SIGMAS, spec.grid_points)
+    log_prior = model.x_prior.log_density(x[:, None])
+    moment_weights = _moment_weights(x)
+    means = np.empty_like(y)
+    for start in range(0, y.size, 16):
+        rows = slice(start, start + 16)
+        residual = y[rows, None] - model.H[0, 0] * x[None, :]
+        means[rows] = row_moments_before(model.noise, residual, log_prior, moment_weights)[0]
+    return means
+
+
+def lattice_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec, row_variances,
+                     row_moments=factored_row_moments) -> float:
     """:func:`quad_mse`'s y lattice and outer integral around a posterior variance rule.
 
     Every block of y rows gathers its noise log-densities from the residual
@@ -85,9 +135,11 @@ def lattice_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec, row_varia
     ``shift`` is the lattice's peak. When the lattice would span more than
     ``_CHUNK_ROWS`` x grids, by ``quad_mse``'s test made before any lattice
     exists, the y grid is the plain :func:`support_grid` of the observation
-    mixture and the rule is :func:`per_row_shift_variances` on residuals
-    ``y - H x`` in blocks of ``_RESIDUALS_PER_BLOCK`` residuals, the
-    arithmetic of ``quad_mse``'s per-row path.
+    mixture, and ``row_moments(noise, residual, log_prior, moment_weights)``
+    gives the posterior moments of residuals ``y - H x`` in blocks of
+    ``_RESIDUALS_PER_BLOCK`` residuals; the default,
+    :func:`factored_row_moments`, is the arithmetic of ``quad_mse``'s
+    per-row path.
     """
     h = float(model.H[0, 0])
     x_grid = support_grid(model.x_prior, SPAN_SIGMAS, spec.grid_points)
@@ -108,8 +160,8 @@ def lattice_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec, row_varia
         for start in range(0, size, block_rows):
             rows = slice(start, start + block_rows)
             residual = y_grid[rows, None] - h * x_grid[None, :]
-            log_noise = model.noise.log_density(residual.reshape(-1, 1)).reshape(residual.shape)
-            integrand[rows] = density[rows] * per_row_shift_variances(log_noise, None, log_prior, moment_weights)
+            first, second, log_mass = row_moments(model.noise, residual, log_prior, moment_weights)
+            integrand[rows] = density[rows] * np.where(log_mass > -np.inf, second - first**2, 0.0)
         return float(np.trapezoid(integrand, y_grid))
 
     sign = int(np.sign(h))
@@ -152,9 +204,9 @@ def factored_variances(log_noise, shift, log_prior, moment_weights):
 
 def per_row_shift_variances(log_noise, shift, log_prior, moment_weights):
     """Posterior variances from the log posterior shifted by each row's own peak,
-    the arithmetic :func:`quad_mse` used before it factored its weights and
-    still uses on its per-row path; a row of no mass has variance 0."""
-    first, second, log_mass = _posterior_moments(log_noise + log_prior, moment_weights)
+    the arithmetic :func:`quad_mse`'s lattice path used before it factored its
+    weights; a row of no mass has variance 0."""
+    first, second, log_mass = posterior_moments_before(log_noise + log_prior, moment_weights)
     return np.where(log_mass > -np.inf, second - first**2, 0.0)
 
 
@@ -164,7 +216,8 @@ def gather_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec) -> float:
 
 
 def per_row_shift_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec) -> float:
-    """Reference :func:`quad_mse` as it was before the factored weights."""
+    """Reference :func:`quad_mse` with its lattice path as it was before the
+    factored weights."""
     return lattice_quad_mse(model, spec, per_row_shift_variances)
 
 
@@ -181,25 +234,37 @@ def zero_mass_rows(model: BayesianLinearModel, spec: QuadratureSpec) -> tuple[in
     return int(np.count_nonzero(masses == 0.0)), masses.size
 
 
-def quad_mse_work(monkeypatch, model: BayesianLinearModel, spec: QuadratureSpec) -> tuple[int, int]:
-    """Points at which ``quad_mse`` evaluates the noise log-density, and its
-    tracemalloc peak in bytes."""
+def noise_work(monkeypatch, model: BayesianLinearModel, call) -> tuple[int, int]:
+    """Points at which ``call()`` evaluates the noise mixture's log-density or
+    its per-component log-densities, and its tracemalloc peak in bytes."""
     counts = []
-    original = GaussianMixture.log_density
 
-    def counting(self, x):
-        if self is model.noise:
-            counts.append(np.size(x))
-        return original(self, x)
+    def counting(original):
+        def counted(self, x):
+            if self is model.noise:
+                counts.append(np.size(x))
+            return original(self, x)
+        return counted
 
-    monkeypatch.setattr(GaussianMixture, "log_density", counting)
+    for name in ("log_density", "component_log_pdfs"):
+        monkeypatch.setattr(GaussianMixture, name, counting(getattr(GaussianMixture, name)))
     tracemalloc.start()
     try:
-        quad_mse(model, spec)
+        call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return sum(counts), peak
+
+
+def quad_mse_work(monkeypatch, model: BayesianLinearModel, spec: QuadratureSpec) -> tuple[int, int]:
+    """:func:`noise_work` of ``quad_mse``."""
+    return noise_work(monkeypatch, model, lambda: quad_mse(model, spec))
+
+
+def oracle_values(model: BayesianLinearModel) -> np.ndarray:
+    """The 101 observation values at which oracle-check compares the estimator."""
+    return support_grid(observation_mixture(model), 6.0, 101)
 
 
 class TestQuadratureSpec:
@@ -224,6 +289,14 @@ class TestQuadratureSpec:
 
     def test_numpy_integer_stored_as_int(self):
         assert type(QuadratureSpec(grid_points=np.int64(1001)).grid_points) is int
+
+    def test_grid_points_capped(self):
+        # the cap keeps quad_mse's (64, grid) block near 51 MB; only the
+        # spec is built here, never a quadrature at such a grid
+        assert _MAX_GRID_POINTS == 100_001
+        assert QuadratureSpec(grid_points=_MAX_GRID_POINTS).grid_points == _MAX_GRID_POINTS
+        with pytest.raises(ValidationError, match="from 1001 to 100001"):
+            QuadratureSpec(grid_points=_MAX_GRID_POINTS + 2)
 
 
 class TestQuadPosteriorMean:
@@ -277,6 +350,35 @@ class TestQuadPosteriorMean:
         with pytest.raises(ValidationError, match="1-D"):
             quad_posterior_mean(model, 0.0, SPEC)
 
+    @pytest.mark.parametrize("points", [1001, 4001])
+    @pytest.mark.parametrize("snr_db", [-40, 0, 40])
+    def test_factored_weights_match_before(self, snr_db, points):
+        # the weights factored by noise component round differently from
+        # the log-sum-exp and per-row shift they replace, by a few ulps
+        model, _ = calibrate_noise_scale(oracle1d_model(), float(snr_db))
+        spec = QuadratureSpec(grid_points=points)
+        y = oracle_values(model)
+        np.testing.assert_allclose(quad_posterior_mean(model, y, spec),
+                                   quad_posterior_mean_before(model, y, spec), rtol=1e-13, atol=0)
+
+    def test_factored_weights_with_zero_weight_component(self):
+        # a zero-weight noise component has log weight -inf: every cell of
+        # it is -inf and adds exactly 0
+        noise = GaussianMixture.from_parameters(
+            [0.5, 0.0, 0.5], [[0.0], [1.0], [-0.4]], [[[0.4]], [[0.2]], [[1.1]]]
+        )
+        model = BayesianLinearModel(np.array([[1.0]]), oracle1d_model().x_prior, noise)
+        y = oracle_values(model)
+        np.testing.assert_allclose(quad_posterior_mean(model, y, SPEC),
+                                   quad_posterior_mean_before(model, y, SPEC), rtol=1e-13, atol=0)
+
+    def test_evaluates_noise_once_per_residual(self, monkeypatch):
+        # per component, at every residual y - H x of the 101 oracle values
+        model = oracle1d_model()
+        count, _ = noise_work(monkeypatch, model,
+                              lambda: quad_posterior_mean(model, oracle_values(model), SPEC))
+        assert count == 101 * SPEC.grid_points
+
     def test_vector_h_scaling(self):
         # H = [[2]]: posterior mean of x given y should track y/2 at high SNR
         x = GaussianMixture.single(np.zeros(1), np.eye(1))
@@ -324,15 +426,18 @@ class TestQuadMse:
     def test_factored_weights_match_per_row_shift(self, snr_db, points):
         # the factored weights round differently from the per-row shift, by
         # a few ulps of the integral (worst seen 2.5e-13 relative); at -30
-        # and -40 dB the lattice would be too large, and quad_mse runs the
-        # per-row shift itself on the plain support grid, as the reference
-        # does, bit for bit
+        # and -40 dB the lattice would be too large, and quad_mse runs its
+        # per-row path on the plain support grid, as the reference does,
+        # bit for bit. That path's weights are factored by noise component
+        # too, and the per-row arithmetic before that differs by an ulp.
         model, _ = calibrate_noise_scale(oracle1d_model(), float(snr_db))
         spec = QuadratureSpec(grid_points=points)
         value, reference = quad_mse(model, spec), per_row_shift_quad_mse(model, spec)
         assert value == pytest.approx(reference, rel=1e-12)
         if snr_db <= -30:
             assert value == reference
+            before = lattice_quad_mse(model, spec, per_row_shift_variances, row_moments_before)
+            assert value == pytest.approx(before, rel=1e-12)
 
     @pytest.mark.parametrize("points, zero_rows, rows", [(1001, 346, 512), (4001, 1386, 2044)])
     def test_zero_mass_rows_contribute_nothing(self, points, zero_rows, rows):
