@@ -16,7 +16,7 @@ import pytest
 
 import gmbayes.cli
 import gmbayes.montecarlo
-from gmbayes import SWEEP_CSV_HEADER, packaged_config, parse_sweep_csv
+from gmbayes import SWEEP_CSV_HEADER, calibrate_noise_scale, load_config, packaged_config, parse_sweep_csv
 from gmbayes.cli import main
 
 from conftest import asymptotics_model, parts
@@ -47,17 +47,19 @@ def write_config(tmp_path, doc, name="model.config"):
     return str(path)
 
 
-def config_doc(model, sweep: dict) -> dict:
-    """The config document of ``model`` with the given ``sweep`` section."""
+def config_doc(model, sweep: dict | None = None) -> dict:
+    """The config document of ``model``, with the given ``sweep`` section if any."""
     def components(mixture):
         return [
             {"weight": float(w), "mean": mean.tolist(), "covariance": cov.tolist()}
             for w, mean, cov in parts(mixture)
         ]
 
-    return {"model": {"H": model.H.tolist(), "x": components(model.x_prior),
-                      "noise": components(model.noise)},
-            "sweep": sweep}
+    doc = {"model": {"H": model.H.tolist(), "x": components(model.x_prior),
+                     "noise": components(model.noise)}}
+    if sweep is not None:
+        doc["sweep"] = sweep
+    return doc
 
 
 class TestValidate:
@@ -466,6 +468,67 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "quad_mse escapes [lower, upper]" in out
         assert out.endswith("FAIL (tolerance 1e-06)\n")
+
+    def test_bounds_slack_is_relative(self, tmp_path, capsys, monkeypatch):
+        # x and noise scaled by 1e-5 put both bounds near 4e-11, far below
+        # the slack 1e-8: scaled by the bounds, it still rejects a zero MSE
+        doc = json.loads(packaged_config("oracle1d.config").read_text())
+        for component in doc["model"]["x"] + doc["model"]["noise"]:
+            component["mean"] = [1e-5 * v for v in component["mean"]]
+            component["covariance"] = [[1e-10 * component["covariance"][0][0]]]
+        config = write_config(tmp_path, doc)
+        argv = ["oracle-check", "--config", config, "--grid-points", "4001"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith("PASS (tolerance 1e-06)\n")
+
+        posterior_rows = gmbayes.cli._posterior_rows
+
+        def zero_variance(model, spec):
+            rows = posterior_rows(model, spec)
+            return rows._replace(variance=np.zeros_like(rows.variance))
+
+        monkeypatch.setattr(gmbayes.cli, "_posterior_rows", zero_variance)
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "quad_mse = 0; genie lower = 3.48571428571e-11" in out
+        assert "quad_mse escapes [lower, upper]" in out.splitlines()
+        assert out.endswith("FAIL (tolerance 1e-06)\n")
+
+    @pytest.mark.parametrize("snr_db, code", [(40, 0), (50, 0)] + [(snr_db, 1) for snr_db in range(60, 121, 10)])
+    def test_rescaled_oracle1d(self, tmp_path, capsys, snr_db, code):
+        # 4001 points resolve oracle1d's posterior up to 50 dB; above, the
+        # check fails (the quadrature MSE escapes the bounds) or stops at
+        # a compared row outside the grid's numerical support
+        model = load_config(packaged_config("oracle1d.config")).model
+        config = write_config(tmp_path, config_doc(calibrate_noise_scale(model, float(snr_db))[0]))
+        assert main(["oracle-check", "--config", config, "--grid-points", "4001"]) == code
+        assert ("PASS" in capsys.readouterr().out) == (code == 0)
+
+    def test_compared_row_without_support_exit_1(self, tmp_path, capsys):
+        # signal components at +-200: the 6-sigma window spans the gap
+        # between them, where the posterior mass underflows; no deviation
+        # is printed
+        doc = json.loads(packaged_config("oracle1d.config").read_text())
+        doc["model"]["x"] = [{"weight": 0.5, "mean": [mean], "covariance": [[1.0]]} for mean in (-200.0, 200.0)]
+        config = write_config(tmp_path, {"model": doc["model"]})
+        assert main(["oracle-check", "--config", config, "--grid-points", "4001"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: y = \S+ outside numerical support of the grid\n", captured.err)
+
+    def test_too_few_rows_inside_window_exit_1(self, tmp_path, capsys):
+        # H = 0 and a noise 1e5 times narrower than oracle1d's: the y grid
+        # keeps the x grid's spacing, far coarser than the observation density
+        doc = json.loads(packaged_config("oracle1d.config").read_text())
+        doc["model"]["H"] = [[0.0]]
+        for component in doc["model"]["noise"]:
+            component["mean"] = [1e-5 * v for v in component["mean"]]
+            component["covariance"] = [[1e-10 * component["covariance"][0][0]]]
+        config = write_config(tmp_path, {"model": doc["model"]})
+        assert main(["oracle-check", "--config", config, "--grid-points", "4001"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: only 0 rows of the quadrature's y grid lie within 6 sigma" in captured.err
 
     @pytest.mark.parametrize("h", [1e-19, 1e-200])
     def test_degenerate_gain_passes(self, tmp_path, capsys, h):

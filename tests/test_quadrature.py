@@ -25,12 +25,17 @@ from gmbayes import (
 )
 from gmbayes.mixture import _peak
 from gmbayes.quadrature import (
+    _BLOCK_CELLS,
     _CHUNK_ROWS,
     _MAX_GRID_POINTS,
     _RESIDUALS_PER_BLOCK,
     SPAN_SIGMAS,
     _moment_weights,
+    _posterior_rows,
+    _require_support,
+    _row_moments,
     _support_interval,
+    _x_grid,
     support_grid,
 )
 
@@ -128,8 +133,9 @@ def lattice_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec, row_varia
                      row_moments=factored_row_moments) -> float:
     """:func:`quad_mse`'s y lattice and outer integral around a posterior variance rule.
 
-    Every block of y rows gathers its noise log-densities from the residual
-    lattice through a ``(rows, grid)`` array of lattice indices with
+    Every block of y rows (at most ``_CHUNK_ROWS`` rows of at most
+    ``_BLOCK_CELLS`` cells, as in ``quad_mse``) gathers its noise
+    log-densities from the residual lattice through a ``(rows, grid)`` array of lattice indices with
     ``np.take``. ``row_variances(log_noise, shift, log_prior,
     moment_weights)`` turns a block into its rows' posterior variances;
     ``shift`` is the lattice's peak. When the lattice would span more than
@@ -173,13 +179,14 @@ def lattice_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec, row_varia
     density = np.exp(obs.log_density(y_grid[:, None]))
     column = -sign * np.arange(size)
     column_low, column_high = int(column.min()), int(column.max())
-    offsets = (stride * np.arange(_CHUNK_ROWS) - column_low)[:, None] + column[None, :]
+    block_rows = min(_CHUNK_ROWS, _BLOCK_CELLS // size)
+    offsets = (stride * np.arange(block_rows) - column_low)[:, None] + column[None, :]
     nodes = int(y_index[-1]) + column_high - column_low + 1
 
     integrand = np.empty_like(y_grid)
     lattice = model.noise.log_density((origin + np.arange(column_low, column_low + nodes) * step)[:, None])
-    for start in range(0, y_count, _CHUNK_ROWS):
-        rows = slice(start, min(start + _CHUNK_ROWS, y_count))
+    for start in range(0, y_count, block_rows):
+        rows = slice(start, min(start + block_rows, y_count))
         log_noise = np.take(lattice[stride * start:], offsets[: rows.stop - start])
         integrand[rows] = density[rows] * row_variances(log_noise, lattice.max(), log_prior, moment_weights)
     return float(np.trapezoid(integrand, y_grid))
@@ -263,7 +270,8 @@ def quad_mse_work(monkeypatch, model: BayesianLinearModel, spec: QuadratureSpec)
 
 
 def oracle_values(model: BayesianLinearModel) -> np.ndarray:
-    """The 101 observation values at which oracle-check compares the estimator."""
+    """101 observation values evenly spaced over the observation mixture's
+    6-sigma window, as many as oracle-check compares."""
     return support_grid(observation_mixture(model), 6.0, 101)
 
 
@@ -291,7 +299,7 @@ class TestQuadratureSpec:
         assert type(QuadratureSpec(grid_points=np.int64(1001)).grid_points) is int
 
     def test_grid_points_capped(self):
-        # the cap keeps quad_mse's (64, grid) block near 51 MB; only the
+        # the cap keeps each noise component's lattice array near 51 MB; only the
         # spec is built here, never a quadrature at such a grid
         assert _MAX_GRID_POINTS == 100_001
         assert QuadratureSpec(grid_points=_MAX_GRID_POINTS).grid_points == _MAX_GRID_POINTS
@@ -464,17 +472,18 @@ class TestQuadMse:
     @pytest.mark.parametrize("points, nodes", [(4001, 9341), (20001, 46695)])
     def test_lattice_evaluates_noise_once_per_node(self, monkeypatch, points, nodes):
         # the oracle1d residual lattice, one noise evaluation per node; memory
-        # is one reused (64, grid) block of log posterior (10.2 MB at 20 001
-        # points) and no index array of that size
+        # is one reused block of at most _BLOCK_CELLS weights (6 rows, 0.96 MB
+        # at 20 001 points; peak seen 5.6 MB, 15.1 MB with the former 64-row
+        # block) and no index array of the block's size
         spec = QuadratureSpec(grid_points=points)
         count, peak = quad_mse_work(monkeypatch, oracle1d_model(), spec)
         assert count == nodes
-        assert peak < 16e6
+        assert peak < 8e6
 
     def test_per_row_fallback_memory_bounded(self, monkeypatch):
         # at -40 dB the lattice is too large, and quad_mse's per-row blocks
-        # hold _RESIDUALS_PER_BLOCK residuals, 16 rows at 4001 points (peak
-        # seen 6.3 MB; 21.5 MB with the former 64-row blocks)
+        # hold _RESIDUALS_PER_BLOCK residuals, 8 rows at 4001 points (peak
+        # seen 2.7 MB; 4.9 MB with 16-row blocks, 21.5 MB with 64-row ones)
         model, _ = calibrate_noise_scale(oracle1d_model(), -40.0)
         _, peak = quad_mse_work(monkeypatch, model, SPEC)
         assert peak < 12e6
@@ -512,9 +521,98 @@ class TestQuadMse:
         assert abs(mse - reference) < 5 * stderr
 
 
+# -40 to 40 dB at 1001, 4001 and 20 001 points, less the two per-row cases
+# at 20 001 points (-40, -30 dB), which take about 10 s each
+COMPARED_CASES = [(snr_db, points) for points in (1001, 4001, 20001) for snr_db in range(-40, 41, 10)
+                  if points < 20001 or snr_db > -30]
+
+
+def compared_rows(model: BayesianLinearModel, spec: QuadratureSpec):
+    """The quadrature rows of ``model`` and the y values and posterior means
+    that oracle-check compares among them."""
+    rows = _posterior_rows(model, spec)
+    return rows, *rows.means_inside(6.0, 101)
+
+
+class TestPosteriorRows:
+    """The one quadrature pass of oracle-check: quad_mse's rows, and the
+    posterior means it compares at 101 of them."""
+
+    @pytest.mark.parametrize("snr_db, points", COMPARED_CASES)
+    def test_compared_means_match_quad_posterior_mean(self, snr_db, points):
+        # the per-row kernel stays an independent oracle of the lattice
+        # path's means (-20 to 40 dB), and of the per-row path's own
+        # blocks (-40, -30 dB); seen at most 2e-14 sd_x
+        model, _ = calibrate_noise_scale(oracle1d_model(), float(snr_db))
+        spec = QuadratureSpec(grid_points=points)
+        _, y, means = compared_rows(model, spec)
+        sd_x = math.sqrt(model.x_prior.covariance()[0, 0])
+        assert np.max(np.abs(means - quad_posterior_mean(model, y, spec))) <= 1e-12 * sd_x
+
+    @pytest.mark.parametrize("snr_db", [-40.0, None, 40.0])
+    def test_compared_rows_spread_over_window(self, snr_db):
+        # 101 distinct, increasing rows of the y grid, evenly spread by
+        # index from the first row inside the 6-sigma window to the last
+        model = oracle1d_model()
+        if snr_db is not None:
+            model, _ = calibrate_noise_scale(model, snr_db)
+        rows, y, _ = compared_rows(model, SPEC)
+        low, high = _support_interval(rows.obs, 6.0)
+        inside = np.flatnonzero((rows.y >= low) & (rows.y <= high))
+        index = np.searchsorted(rows.y, y)
+        np.testing.assert_array_equal(rows.y[index], y)
+        assert y.size == 101 and np.all(np.diff(index) > 0)
+        assert (index[0], index[-1]) == (inside[0], inside[-1])
+        assert np.ptp(np.diff(index)) <= 1
+        assert inside.size > 101
+
+    @pytest.mark.parametrize("snr_db, h", [(None, None), (-40.0, None), (None, 1e-19)])
+    def test_integral_is_quad_mse(self, snr_db, h):
+        # oracle-check prints this integral as quad_mse: on the lattice
+        # path, and on the per-row path at -40 dB and at a tiny gain
+        model = oracle1d_model(h)
+        if snr_db is not None:
+            model, _ = calibrate_noise_scale(model, snr_db)
+        assert _posterior_rows(model, SPEC).mse() == quad_mse(model, SPEC)
+
+    @pytest.mark.parametrize("snr_db", [None, 20.0])
+    def test_lattice_log_mass_matches_per_row(self, snr_db):
+        # the lattice path's absolute log-mass, its two peaks plus the log of
+        # its factored mass, is the per-row kernel's at the same y
+        model = oracle1d_model()
+        if snr_db is not None:
+            model, _ = calibrate_noise_scale(model, snr_db)
+        rows, y, _ = compared_rows(model, SPEC)
+        index = np.searchsorted(rows.y, y)
+        per_row = np.concatenate([moments[2] for _, moments in _row_moments(model, y, *_x_grid(model, SPEC))])
+        np.testing.assert_allclose(rows.log_mass[index], per_row, rtol=1e-13, atol=1e-12)
+
+    def test_compared_row_below_support_floor_raises(self):
+        # signal components at +-200: the window spans the gap between them,
+        # where the posterior mass underflows, as quad_posterior_mean reports
+        x = GaussianMixture.from_parameters([0.5, 0.5], [[-200.0], [200.0]], [[[1.0]], [[1.0]]])
+        model = BayesianLinearModel(np.array([[1.0]]), x, oracle1d_model().noise)
+        rows = _posterior_rows(model, SPEC)
+        with pytest.raises(ValidationError, match="outside numerical support of the grid"):
+            rows.means_inside(6.0, 101)
+
+    def test_too_few_rows_inside_window_raises(self):
+        # H = 0 puts the y grid at the x grid's spacing, which a noise 1e5
+        # times narrower than oracle1d's leaves with no row in the window
+        noise = oracle1d_model().noise
+        narrow = GaussianMixture.from_parameters(noise.weights, 1e-5 * noise.means, 1e-10 * noise.covariances)
+        model = BayesianLinearModel(np.array([[0.0]]), oracle1d_model().x_prior, narrow)
+        with pytest.raises(ValidationError, match="only 0 rows of the quadrature's y grid lie within 6 sigma"):
+            _posterior_rows(model, SPEC).means_inside(6.0, 101)
+
+    def test_nan_log_mass_outside_support(self):
+        with pytest.raises(ValidationError, match="y = 2 outside numerical support"):
+            _require_support(np.array([1.0, 2.0]), np.array([0.0, np.nan]))
+
+
 class TestSupportGrid:
     def test_oracle_observation_values(self):
-        # oracle-check compares the estimator at these 101 observation values
+        # each component mean by 6 standard deviations, 101 values
         obs = observation_mixture(oracle1d_model())
         sigmas = np.sqrt(obs.covariances[:, 0, 0])
         expected = np.linspace(
