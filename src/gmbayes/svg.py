@@ -8,6 +8,7 @@ convenience artifact for eyeballing a sweep; the CSV is the record.
 from __future__ import annotations
 
 import math
+from xml.sax.saxutils import escape
 
 from .mixture import ValidationError
 from .montecarlo import SweepPoint
@@ -84,7 +85,7 @@ def render_sweep_svg(points: list[SweepPoint], title: str = "Bayesian MSE vs SNR
         f'width="{_WIDTH}" height="{_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="28" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="18">{title}</text>',
+        f'font-family="sans-serif" font-size="18">{escape(title)}</text>',
     ]
     axis_style = 'stroke="#333" stroke-width="1"'
     grid_style = 'stroke="#ddd" stroke-width="1"'

@@ -516,19 +516,20 @@ class TestOracleCheck:
         assert captured.out == ""
         assert re.fullmatch(r"error: y = \S+ outside numerical support of the grid\n", captured.err)
 
-    def test_too_few_rows_inside_window_exit_1(self, tmp_path, capsys):
-        # H = 0 and a noise 1e5 times narrower than oracle1d's: the y grid
-        # keeps the x grid's spacing, far coarser than the observation density
+    def test_zero_gain_passes(self, tmp_path, capsys):
+        # H = 0 and a noise 1e5 times narrower than oracle1d's: quad_mse runs
+        # its per-row path on the observation mixture's support grid and gets
+        # the no-information MSE Var[x] = 3.5625, the LMMSE bound
         doc = json.loads(packaged_config("oracle1d.config").read_text())
         doc["model"]["H"] = [[0.0]]
         for component in doc["model"]["noise"]:
             component["mean"] = [1e-5 * v for v in component["mean"]]
             component["covariance"] = [[1e-10 * component["covariance"][0][0]]]
         config = write_config(tmp_path, {"model": doc["model"]})
-        assert main(["oracle-check", "--config", config, "--grid-points", "4001"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "error: only 0 rows of the quadrature's y grid lie within 6 sigma" in captured.err
+        assert main(["oracle-check", "--config", config, "--grid-points", "1001"]) == 0
+        out = capsys.readouterr().out
+        assert "quad_mse = 3.5625; genie lower = 0.99; lmmse upper = 3.5625" in out.splitlines()
+        assert out.endswith("PASS (tolerance 1e-06)\n")
 
     @pytest.mark.parametrize("h", [1e-19, 1e-200])
     def test_degenerate_gain_passes(self, tmp_path, capsys, h):

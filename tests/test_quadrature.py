@@ -39,7 +39,7 @@ from gmbayes.quadrature import (
     support_grid,
 )
 
-from conftest import random_model
+from conftest import oracle_equivalence_models, random_model
 
 SPEC = QuadratureSpec(grid_points=4001)
 
@@ -153,12 +153,11 @@ def lattice_quad_mse(model: BayesianLinearModel, spec: QuadratureSpec, row_varia
     moment_weights = _moment_weights(x_grid)
     size = x_grid.size
     dx = (x_grid[-1] - x_grid[0]) / (size - 1)
-    step = abs(h) * dx if h != 0.0 else dx
-    width = size if h != 0.0 else 1
+    step = abs(h) * dx
     obs = observation_mixture(model)
     low, high = _support_interval(obs, SPAN_SIGMAS)
 
-    if not (0.0 < step < math.inf and high - low <= (_CHUNK_ROWS * size - width) * step):
+    if not (0.0 < step < math.inf and high - low <= (_CHUNK_ROWS - 1) * size * step):
         y_grid = support_grid(obs, SPAN_SIGMAS, size)
         density = np.exp(obs.log_density(y_grid[:, None]))
         integrand = np.empty_like(y_grid)
@@ -407,7 +406,7 @@ class TestQuadMse:
 
     @pytest.mark.parametrize("h", [1.0, 2.5, -3.0, 0.0, 1e-6, -1e-6])
     def test_matches_brute_force(self, h):
-        # 1e-6 and -1e-6 take the per-row path on the plain support grid,
+        # 0, 1e-6 and -1e-6 take the per-row path on the plain support grid,
         # which the reference mirrors; the others the window read, which
         # gives the same bits as the index gather
         model = oracle1d_model(h)
@@ -419,9 +418,7 @@ class TestQuadMse:
     def test_matches_brute_force_on_random_models(self):
         # the models of acceptance criterion 2
         spec = QuadratureSpec(grid_points=1001)
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            model = random_model(rng, 1, 1, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
+        for model in oracle_equivalence_models():
             value = quad_mse(model, spec)
             assert value == gather_quad_mse(model, spec)
             assert value == pytest.approx(brute_force_quad_mse(model, spec), rel=1e-12)
@@ -463,7 +460,7 @@ class TestQuadMse:
         assert value == gather_quad_mse(model, spec)
         assert value == pytest.approx(brute_force_quad_mse(model, spec), rel=5e-11)
 
-    @pytest.mark.parametrize("h", [1.0, -3.0, 0.0])
+    @pytest.mark.parametrize("h", [1.0, -3.0])
     def test_lattice_evaluates_noise_on_few_points(self, monkeypatch, h):
         spec = QuadratureSpec(grid_points=1001)
         count, _ = quad_mse_work(monkeypatch, oracle1d_model(h), spec)
@@ -488,10 +485,11 @@ class TestQuadMse:
         _, peak = quad_mse_work(monkeypatch, model, SPEC)
         assert peak < 12e6
 
-    @pytest.mark.parametrize("h", [1e-6, -1e-6])
+    @pytest.mark.parametrize("h", [1e-6, -1e-6, 0.0])
     def test_tiny_gain_work_bounded_by_brute_force(self, monkeypatch, h):
-        # the lattice would span more than _CHUNK_ROWS x grids: quad_mse
-        # evaluates all grid_points**2 residuals of the plain support grid
+        # the lattice would span more than _CHUNK_ROWS x grids, or has no
+        # spacing at all when H = 0: quad_mse evaluates all grid_points**2
+        # residuals of the plain support grid
         spec = QuadratureSpec(grid_points=1001)
         count, _ = quad_mse_work(monkeypatch, oracle1d_model(h), spec)
         assert spec.grid_points**2 // 2 <= count <= spec.grid_points**2
@@ -584,7 +582,7 @@ class TestPosteriorRows:
             model, _ = calibrate_noise_scale(model, snr_db)
         rows, y, _ = compared_rows(model, SPEC)
         index = np.searchsorted(rows.y, y)
-        per_row = np.concatenate([moments[2] for _, moments in _row_moments(model, y, *_x_grid(model, SPEC))])
+        per_row = _row_moments(model, y, *_x_grid(model, SPEC))[2]
         np.testing.assert_allclose(rows.log_mass[index], per_row, rtol=1e-13, atol=1e-12)
 
     def test_compared_row_below_support_floor_raises(self):
@@ -596,14 +594,32 @@ class TestPosteriorRows:
         with pytest.raises(ValidationError, match="outside numerical support of the grid"):
             rows.means_inside(6.0, 101)
 
-    def test_too_few_rows_inside_window_raises(self):
-        # H = 0 puts the y grid at the x grid's spacing, which a noise 1e5
-        # times narrower than oracle1d's leaves with no row in the window
+    @pytest.mark.parametrize("scale", [1.0, 1e-2, 1e-3, 1e-5])
+    def test_zero_gain_is_prior_variance(self, scale):
+        # H = 0 runs the per-row path on the observation mixture's own
+        # support grid, which resolves a noise of any width, and gets the
+        # no-information MSE Var[x]
         noise = oracle1d_model().noise
-        narrow = GaussianMixture.from_parameters(noise.weights, 1e-5 * noise.means, 1e-10 * noise.covariances)
-        model = BayesianLinearModel(np.array([[0.0]]), oracle1d_model().x_prior, narrow)
-        with pytest.raises(ValidationError, match="only 0 rows of the quadrature's y grid lie within 6 sigma"):
-            _posterior_rows(model, SPEC).means_inside(6.0, 101)
+        scaled = GaussianMixture.from_parameters(noise.weights, scale * noise.means,
+                                                 scale**2 * noise.covariances)
+        model = BayesianLinearModel(np.array([[0.0]]), oracle1d_model().x_prior, scaled)
+        assert quad_mse(model, QuadratureSpec(grid_points=1001)) == pytest.approx(3.5625, rel=1e-12)
+
+    def test_every_y_grid_puts_rows_inside_window(self):
+        # a lattice y grid has at least (G - 1) / 2 rows and the per-row grid
+        # G, and the 6-sigma window is at least a third of the 12-sigma
+        # support, so about (G - 1) / 6 rows fall inside it (166 at 1001
+        # points), more than the 101 compared
+        spec = QuadratureSpec(grid_points=1001)
+        models = [*oracle_equivalence_models(),
+                  *(oracle1d_model(h) for h in (0.0, 1e-8, -1e-8, 1e8, -1e8))]
+        for model in models:
+            rows = _posterior_rows(model, spec)
+            low, high = _support_interval(rows.obs, 6.0)
+            inside = np.count_nonzero((rows.y >= low) & (rows.y <= high))
+            assert inside > (spec.grid_points - 1) // 8
+            y, _ = rows.means_inside(6.0, 101)
+            assert y.size == 101 and np.all(np.diff(y) > 0)
 
     def test_nan_log_mass_outside_support(self):
         with pytest.raises(ValidationError, match="y = 2 outside numerical support"):

@@ -51,6 +51,12 @@ class TestRenderSweepSvg:
         assert "demo sweep" in labels
         assert "SNR (dB)" in labels and "MSE (dB)" in labels
 
+    def test_title_escaped(self):
+        # markup characters in the title are escaped, so the document parses
+        # and the title text round-trips
+        root = ET.fromstring(render_sweep_svg(sample_points(), title="MSE < bound & co"))
+        assert "MSE < bound & co" in [t.text for t in root.iter(f"{SVG_NS}text")]
+
     def test_coordinates_inside_canvas(self):
         root = ET.fromstring(render_sweep_svg(sample_points()))
         for poly in root.findall(f"{SVG_NS}polyline"):
