@@ -180,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimators",
                    help="override sweep.estimators (comma list; '' or 'none' for bounds only)")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel sweep points (output is identical to serial)")
+                   help="sweep points estimated concurrently (output is identical to serial)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle-check",

@@ -69,6 +69,9 @@ LOG_2PI = math.log(2.0 * math.pi)
 _LOG_TINY = math.log(np.finfo(float).tiny)
 _LOWEST = -np.finfo(float).max  # the floor of every _peak
 
+# Rows per block of a one-component mixture's sample (see GaussianMixture.sample).
+_SAMPLE_BLOCK = 4096
+
 
 class ValidationError(ValueError):
     """An invariant of a mixture, a model, or an input does not hold."""
@@ -260,12 +263,19 @@ class GaussianMixture:
 
         The generator is a Philox counter-based bit generator seeded with the
         integer ``seed``. The draw is a categorical pick over the component
-        weights followed by ``mean + chol @ z`` with ``z`` standard normal;
-        all standard-normal variates are drawn in one block after the
-        categorical pick, so the output is a pure function of (seed, numpy
-        version). A one-component mixture skips the pick but still advances
-        the generator past the ``count`` raw 64-bit draws it would have
-        consumed, so its ``z`` (and output) is the same as with the pick.
+        weights followed by ``mean + chol @ z`` with ``z`` standard normal,
+        drawn row by row after the categorical pick, so the output is a pure
+        function of (seed, numpy version). Each component's rows are
+        transformed in place in ``z``, which is returned C-ordered.
+
+        A one-component mixture skips the pick but still advances the
+        generator past the ``count`` raw 64-bit draws it would have consumed,
+        so its ``z`` (and output) is the same as with the pick. It draws and
+        transforms ``z`` in blocks of ``_SAMPLE_BLOCK`` (4096) rows into a
+        Fortran-ordered output. No block has exactly one row unless ``count``
+        is 1: numpy rounds a one-column product differently, so where the
+        count would leave one, the block before ends a row early.
+
         ``count`` and ``seed`` must be non-negative integers; anything else
         raises :class:`ValidationError`.
         """
@@ -273,15 +283,22 @@ class GaussianMixture:
         rng = np.random.Generator(np.random.Philox(_integer("seed", seed)))
         if len(self) == 1:
             rng.bit_generator.random_raw(count, output=False)  # the pick's uniforms
-            return self._component_draws(0, rng.standard_normal((count, self.dim)))
+            out = np.empty((count, self.dim), order="F")
+            start = 0
+            while start < count:
+                stop = min(start + _SAMPLE_BLOCK, count)
+                if count - stop == 1:
+                    stop -= 1
+                out[start:stop] = self._component_draws(0, rng.standard_normal((stop - start, self.dim)))
+                start = stop
+            return out
         idx = rng.choice(len(self), size=count, p=self.weights)
         z = rng.standard_normal((count, self.dim))
-        out = np.empty((count, self.dim))
         for k in range(len(self)):
             rows = np.flatnonzero(idx == k)
             if rows.size:
-                out[rows] = self._component_draws(k, z[rows])
-        return out
+                z[rows] = self._component_draws(k, z[rows])
+        return z
 
     def _component_draws(self, k: int, z: np.ndarray) -> np.ndarray:
         """``means[k] + z @ chols[k].T`` for ``(n, d)`` standard normals, formed

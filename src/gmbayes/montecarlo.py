@@ -23,6 +23,12 @@ Reproducibility contract:
   No block has a single row: numpy's products round a one-row operand
   differently, so where the trial count would leave one, the last block
   starts a row earlier. The results do not depend on the block size.
+* A point runs in three stages: *prepare* (calibrate the noise scale, build
+  the estimators, compute the bounds), *draw* (the signal and the noise) and
+  *finish* (the blocks and the reduction). The draws depend only on the
+  point's seed, so a serial sweep draws each point on one helper thread
+  while its own thread finishes the point before; ``workers`` counts the
+  points estimated concurrently. Neither changes a byte of the results.
 * Squared errors are reduced by an exact sum: the correctly rounded value of
   the exact real sum, equal to ``math.fsum`` bit for bit. Bucketing the terms
   by binary exponent makes it independent of term order and block size, so
@@ -35,7 +41,8 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,17 +93,21 @@ def derive_seed(seed: int, *parts) -> int:
     return int.from_bytes(h.digest()[:8], "little")
 
 
-def _squared_errors(model: BayesianLinearModel, trials: int, seed: int, arms) -> list[np.ndarray]:
-    """Squared errors ``|x - xhat(y)|^2``, shape ``(trials,)``, of each estimator
-    in ``arms`` over the same ``trials`` paired draws.
+def _draw(model: BayesianLinearModel, trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """A point's ``trials`` paired draws of the signal and the noise."""
+    return (model.x_prior.sample(trials, derive_seed(seed, "x")),
+            model.noise.sample(trials, derive_seed(seed, "noise")))
 
-    The signal and the noise are drawn once, at full length. Each block of
-    ``_BATCH`` rows then forms its observations ``y = x H^T + n`` and runs
-    every arm on them, so a block's arrays stay in cache and no full-length
-    ``y`` is built.
+
+def _squared_errors(model: BayesianLinearModel, x: np.ndarray, noise: np.ndarray, arms) -> list[np.ndarray]:
+    """Squared errors ``|x - xhat(y)|^2``, one array per estimator in ``arms``,
+    over the paired draws ``x`` and ``noise`` of :func:`_draw`.
+
+    Each block of ``_BATCH`` rows forms its observations ``y = x H^T + n`` and
+    runs every arm on them, so a block's arrays stay in cache and no
+    full-length ``y`` is built.
     """
-    x = model.x_prior.sample(trials, derive_seed(seed, "x"))
-    noise = model.noise.sample(trials, derive_seed(seed, "noise"))
+    trials = len(x)
     errors = [np.empty(trials) for _ in arms]
     for start in range(0, trials, _BATCH):
         # numpy's products round a one-row operand differently, so a last block
@@ -177,7 +188,7 @@ def estimate_mse(
     trials = _sweep_integer("trials", trials)
     seed = _sweep_integer("seed", seed)
     arm = _ARMS[_estimator_name(estimator)](model)
-    return _mean_stderr(_squared_errors(model, trials, seed, [arm])[0])
+    return _mean_stderr(_squared_errors(model, *_draw(model, trials, seed), [arm])[0])
 
 
 @dataclass(frozen=True)
@@ -223,7 +234,23 @@ class SweepPoint:
     error: str | None = field(default=None)
 
 
-def _run_point(config: SweepConfig, index: int) -> SweepPoint:
+class _Job(NamedTuple):
+    """A prepared point's Monte Carlo work: its calibrated model, the requested
+    estimators by name in :attr:`SweepConfig.estimators` order and the seed of
+    its draws."""
+
+    model: BayesianLinearModel
+    arms: dict
+    seed: int
+
+
+def _prepare(config: SweepConfig, index: int) -> tuple[SweepPoint, _Job | None]:
+    """Point ``index``'s prepare stage: its record with the noise scale and the
+    bounds, and its Monte Carlo job, ``None`` where it estimates nothing.
+
+    The point fails, with no job, where the noise scale for its SNR is not
+    usable, an estimator cannot be built or a bound is not positive.
+    """
     snr_db = config.snr_db_grid[index]
     scale = math.nan
     try:
@@ -235,37 +262,57 @@ def _run_point(config: SweepConfig, index: int) -> SweepPoint:
                 f"MSE bounds lost to rounding: genie lower {lower:.6g}, "
                 f"lmmse upper {upper:.6g}; both must be positive"
             )
-        values: dict[str, tuple[float, float]] = {}
-        if config.estimators:
-            seed_point = derive_seed(config.seed, "point", index)
-            chosen = [arms[name] for name in config.estimators]
-            errors = _squared_errors(scaled, config.trials, seed_point, chosen)
-            values = dict(zip(config.estimators, map(_mean_stderr, errors)))
-        mmse = values.get("mmse", (None, None))
-        lmmse = values.get("lmmse", (None, None))
-        return SweepPoint(
-            snr_db=snr_db,
-            noise_scale=scale,
-            lower=lower,
-            upper=upper,
-            mse_mmse=mmse[0],
-            stderr_mmse=mmse[1],
-            mse_lmmse=lmmse[0],
-            stderr_lmmse=lmmse[1],
-        )
     except (ValidationError, np.linalg.LinAlgError) as exc:
-        return SweepPoint(snr_db=snr_db, noise_scale=scale, error=str(exc))
+        return SweepPoint(snr_db=snr_db, noise_scale=scale, error=str(exc)), None
+    point = SweepPoint(snr_db=snr_db, noise_scale=scale, lower=lower, upper=upper)
+    if not config.estimators:
+        return point, None
+    chosen = {name: arms[name] for name in config.estimators}
+    return point, _Job(scaled, chosen, derive_seed(config.seed, "point", index))
+
+
+def _finish(point: SweepPoint, job: _Job | None, draws) -> SweepPoint:
+    """A prepared point's finish stage: each estimator's MSE and standard error
+    on the paired draws that ``draws()`` returns (see :func:`_draw`)."""
+    if job is None:
+        return point
+    try:
+        errors = _squared_errors(job.model, *draws(), job.arms.values())
+    except (ValidationError, np.linalg.LinAlgError) as exc:
+        return SweepPoint(snr_db=point.snr_db, noise_scale=point.noise_scale, error=str(exc))
+    values = {}
+    for name, err in zip(job.arms, errors):
+        values[f"mse_{name}"], values[f"stderr_{name}"] = _mean_stderr(err)
+    return replace(point, **values)
+
+
+def _run_point(config: SweepConfig, index: int) -> SweepPoint:
+    """Point ``index``, its three stages run in turn on the calling thread."""
+    point, job = _prepare(config, index)
+    return _finish(point, job, lambda: _draw(job.model, config.trials, job.seed))
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepPoint]:
     """Run the sweep, one point per grid entry, in grid order.
 
-    ``workers`` (a positive integer) points run concurrently; per-point seeds
-    make the output identical to the serial run.
+    ``workers`` (a positive integer) points are estimated concurrently;
+    per-point seeds make the output identical to the serial run. A serial
+    sweep finishes each point while one helper thread, which lives only for
+    the call, draws the next point's signal and noise.
     """
     workers = _sweep_integer("workers", workers)
     indices = range(len(config.snr_db_grid))
-    if workers == 1:
-        return [_run_point(config, i) for i in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: _run_point(config, i), indices))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda i: _run_point(config, i), indices))
+    points = []
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        previous = None
+        for index in indices:
+            point, job = _prepare(config, index)
+            draws = helper.submit(_draw, job.model, config.trials, job.seed).result if job else None
+            if previous:
+                points.append(_finish(*previous))
+            previous = point, job, draws
+        points.append(_finish(*previous))
+    return points

@@ -420,7 +420,7 @@ class TestSampling:
     @pytest.mark.parametrize("seed", [0, 2024, 2**63 + 12345])
     def test_one_component_skip_keeps_the_stream(self, seed):
         mix = random_mixture(np.random.default_rng(seed % 997), 3, 1)
-        for count in (0, 1, 2, 3, 7, 4097, 50_000):
+        for count in (0, 1, 2, 3, 7, 4097, 8193, 50_000, 50_001):
             npt.assert_array_equal(mix.sample(count, seed), masked_sample(mix, count, seed))
 
     @pytest.mark.parametrize("components", [1, 2, 3, 4])
@@ -431,9 +431,18 @@ class TestSampling:
         # against the reference mean + z @ L^T, bit for bit.
         rng = np.random.default_rng(100 * dim + components)
         mix = random_mixture(rng, dim, components, zero_weight=True)
-        for count in (0, 1, 4097, 50_000):
+        for count in (0, 1, 4097, 8193, 50_000, 50_001):
             seed = int(rng.integers(2**63))
             npt.assert_array_equal(mix.sample(count, seed), masked_sample(mix, count, seed))
+
+    @pytest.mark.parametrize("components", [1, 2, 4])
+    def test_output_memory_order(self, components):
+        # The figure-1 bytes depend on it: one component fills a
+        # Fortran-ordered output block by block, more transform z in place.
+        mix = random_mixture(np.random.default_rng(components), 3, components)
+        for count in (2, 4097, 50_001):
+            out = mix.sample(count, seed=8)
+            assert (out.flags.f_contiguous, out.flags.c_contiguous) == (components == 1, components > 1)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError, match="negative"):

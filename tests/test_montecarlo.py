@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -296,6 +297,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(mc, "ThreadPoolExecutor", started)
         monkeypatch.setattr(mc, "_run_point", started)
+        monkeypatch.setattr(mc, "_prepare", started)
         config = SweepConfig(oracle_model(), (0.0,), trials=10, seed=0)
         with pytest.raises(ValidationError, match=message):
             run_sweep(config, workers=workers)
@@ -394,21 +396,86 @@ class TestRunSweep:
         # One figure-1 point (50,000 trials) peaks at about 6.6 MB; building a
         # full-length y or (pairs, m, trials) block again would exceed 8 MB.
         config = load_config(packaged_config("figure1.config")).sweep_config()
-        mc._run_point(config, 30)  # warm-up: imports and caches are not counted
+
+        def one_point():
+            point, job = mc._prepare(config, 30)
+            x, noise = mc._draw(job.model, config.trials, job.seed)
+            return mc._finish(point, job, lambda: (x, noise))
+
+        one_point()  # warm-up: imports and caches are not counted
         tracemalloc.start()
         try:
-            mc._run_point(config, 30)
+            one_point()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8e6
 
-    def test_unusable_snr_target_recorded(self):
+    def test_serial_sweep_holds_one_point_ahead(self):
+        # The serial sweep draws the next point while it finishes this one, so
+        # it holds at most one more point's draws: 3 figure-1 points peak at
+        # about 11 MB, 2 points' draws more would exceed 12 MB.
+        config = load_config(packaged_config("figure1.config")).sweep_config()
+        config = dataclasses.replace(config, snr_db_grid=config.snr_db_grid[29:32])
+        run_sweep(config)  # warm-up
+        tracemalloc.start()
+        try:
+            run_sweep(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+    def test_serial_sweep_draws_on_one_helper_thread(self, monkeypatch):
+        threads = []
+        real = mc._draw
+
+        def spied(*args):
+            threads.append(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(mc, "_draw", spied)
+        config = SweepConfig(oracle_model(), (-5.0, 5.0, 15.0), trials=3000, seed=2)
+        before = threading.active_count()
+        points = run_sweep(config)
+        assert threading.active_count() == before
+        assert len(threads) == 3 and len(set(threads)) == 1
+        assert threads[0] is not threading.current_thread()
+        assert points == [mc._run_point(config, i) for i in range(3)]
+
+    def test_helper_draw_failure_propagates(self, monkeypatch):
+        # An error in the helper thread's sampling leaves run_sweep, and the
+        # helper is joined before it does.
+        threads = []
+
+        def broken(self, count, seed):
+            threads.append(threading.current_thread())
+            raise RuntimeError("sampler broke")
+
+        monkeypatch.setattr(GaussianMixture, "sample", broken)
+        config = SweepConfig(oracle_model(), (0.0, 10.0, 20.0), trials=10, seed=0)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="sampler broke"):
+            run_sweep(config)
+        assert threading.active_count() == before
+        assert threads and threading.current_thread() not in threads
+
+    def test_unusable_snr_target_recorded(self, monkeypatch):
+        # The failing point spends no Monte Carlo work: only the 0 dB point draws.
+        seeds = []
+        real = mc._draw
+
+        def counted(model, trials, seed):
+            seeds.append(seed)
+            return real(model, trials, seed)
+
+        monkeypatch.setattr(mc, "_draw", counted)
         config = SweepConfig(oracle_model(), (0.0, -20000.0), trials=10, seed=6)
         points = run_sweep(config)
         assert points[0].error is None
         assert points[1].error is not None and "unusable" in points[1].error
         assert np.isnan(points[1].noise_scale)
+        assert seeds == [derive_seed(6, "point", 0)]
 
     def test_bounds_lost_to_rounding_fail_the_point(self, monkeypatch):
         # Both bounds are differences that rounding takes to zero or below at
@@ -416,13 +483,13 @@ class TestRunSweep:
         # 190 and 200 dB, and on figure-1 the lower bound is exactly 0 at 200
         # dB. Such a point fails with both values, before any Monte Carlo work.
         runs = []
-        real = mc._squared_errors
+        real = mc._draw
 
         def counted(*args):
             runs.append(args)
             return real(*args)
 
-        monkeypatch.setattr(mc, "_squared_errors", counted)
+        monkeypatch.setattr(mc, "_draw", counted)
         figure1 = load_config(packaged_config("figure1.config")).model
         configs = [SweepConfig(asymptotics_model(), (150.0, 190.0, 200.0), trials=10, seed=0),
                    SweepConfig(figure1, (200.0,), trials=10, seed=0)]
