@@ -107,12 +107,13 @@ def cmd_sweep(args, run: RunConfig) -> int:
     points = run_sweep(config, workers=args.workers)
     write_sweep_csv(config, points, args.out)
     print(f"wrote {len(points)} points to {args.out}")
-    if args.svg is not None:
-        write_sweep_svg(points, args.svg)
-        print(f"wrote chart to {args.svg}")
+    # reported before the chart, whose render fails where no point has data
     failed = [p for p in points if p.error is not None]
     for point in failed:
         print(f"point at {point.snr_db:g} dB failed: {point.error}", file=sys.stderr)
+    if args.svg is not None:
+        write_sweep_svg(points, args.svg)
+        print(f"wrote chart to {args.svg}")
     return 1 if failed else 0
 
 
@@ -180,7 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimators",
                    help="override sweep.estimators (comma list; '' or 'none' for bounds only)")
     p.add_argument("--workers", type=int, default=1,
-                   help="sweep points estimated concurrently (output is identical to serial)")
+                   help="threads that finish sweep points concurrently, while one more thread "
+                        "draws a point ahead (output is identical at every count)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle-check",

@@ -164,6 +164,6 @@ def calibrate_noise_scale(model: BayesianLinearModel, target_snr_db: float) -> t
         scaled = None
     if scaled is None or np.diagonal(scaled.noise.covariances, axis1=1, axis2=2).min() < _TINY:
         raise ValidationError(
-            f"target SNR {target_snr_db} dB gives unusable noise scale 1e{log10_factor:.3g}"
+            f"target SNR {target_snr_db} dB gives unusable noise scale 10^{log10_factor:.6g}"
         )
     return scaled, factor

@@ -25,10 +25,11 @@ Reproducibility contract:
   starts a row earlier. The results do not depend on the block size.
 * A point runs in three stages: *prepare* (calibrate the noise scale, build
   the estimators, compute the bounds), *draw* (the signal and the noise) and
-  *finish* (the blocks and the reduction). The draws depend only on the
-  point's seed, so a serial sweep draws each point on one helper thread
-  while its own thread finishes the point before; ``workers`` counts the
-  points estimated concurrently. Neither changes a byte of the results.
+  *finish* (the blocks and the reduction). A sweep has one scheduler at every
+  worker count: the calling thread prepares the points in grid order, one
+  drawer thread draws them in that order and ``workers`` finisher threads
+  finish them, at most ``workers + 1`` points in flight. The draws depend
+  only on the point's seed, so no worker count changes a byte of the results.
 * Squared errors are reduced by an exact sum: the correctly rounded value of
   the exact real sum, equal to ``math.fsum`` bit for bit. Bucketing the terms
   by binary exponent makes it independent of term order and block size, so
@@ -286,33 +287,23 @@ def _finish(point: SweepPoint, job: _Job | None, draws) -> SweepPoint:
     return replace(point, **values)
 
 
-def _run_point(config: SweepConfig, index: int) -> SweepPoint:
-    """Point ``index``, its three stages run in turn on the calling thread."""
-    point, job = _prepare(config, index)
-    return _finish(point, job, lambda: _draw(job.model, config.trials, job.seed))
-
-
 def run_sweep(config: SweepConfig, workers: int = 1) -> list[SweepPoint]:
     """Run the sweep, one point per grid entry, in grid order.
 
-    ``workers`` (a positive integer) points are estimated concurrently;
-    per-point seeds make the output identical to the serial run. A serial
-    sweep finishes each point while one helper thread, which lives only for
-    the call, draws the next point's signal and noise.
+    The calling thread prepares each point in grid order and submits its draw
+    to one drawer thread, then its finish to ``workers`` (a positive integer)
+    finisher threads. It collects the results in grid order, with at most
+    ``workers + 1`` points in flight, so the drawer works one point ahead of
+    the finishers. Per-point seeds make the output identical at every worker
+    count. Both thread pools live only for the call.
     """
     workers = _sweep_integer("workers", workers)
-    indices = range(len(config.snr_db_grid))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda i: _run_point(config, i), indices))
-    points = []
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        previous = None
-        for index in indices:
+    finishes = []
+    with ThreadPoolExecutor(max_workers=1) as drawer, ThreadPoolExecutor(max_workers=workers) as finisher:
+        for index in range(len(config.snr_db_grid)):
             point, job = _prepare(config, index)
-            draws = helper.submit(_draw, job.model, config.trials, job.seed).result if job else None
-            if previous:
-                points.append(_finish(*previous))
-            previous = point, job, draws
-        points.append(_finish(*previous))
-    return points
+            draws = drawer.submit(_draw, job.model, config.trials, job.seed).result if job else None
+            finishes.append(finisher.submit(_finish, point, job, draws))
+            if len(finishes) > workers:
+                finishes[-workers - 1].result()  # wait: at most workers + 1 points in flight
+    return [finish.result() for finish in finishes]

@@ -124,5 +124,7 @@ def render_sweep_svg(points: list[SweepPoint], title: str = "Bayesian MSE vs SNR
 
 
 def write_sweep_svg(points: list[SweepPoint], path, title: str = "Bayesian MSE vs SNR") -> None:
+    """Write the chart; a render that raises leaves ``path`` untouched."""
+    text = render_sweep_svg(points, title)
     with open(path, "w", newline="\n") as handle:
-        handle.write(render_sweep_svg(points, title))
+        handle.write(text)

@@ -98,9 +98,11 @@ def render_sweep_csv(config: SweepConfig, points: list[SweepPoint]) -> str:
 
 
 def write_sweep_csv(config: SweepConfig, points: list[SweepPoint], path) -> None:
-    """Write the CSV with fixed newlines so identical runs give identical bytes."""
+    """Write the CSV with fixed newlines so identical runs give identical bytes.
+    A render that raises leaves ``path`` untouched."""
+    text = render_sweep_csv(config, points)
     with open(path, "w", newline="\n") as handle:
-        handle.write(render_sweep_csv(config, points))
+        handle.write(text)
 
 
 def _parse_field(text: str, line_no: int) -> float | None:

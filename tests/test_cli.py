@@ -346,7 +346,7 @@ class TestSweep:
             raise AssertionError("the sweep started")
 
         monkeypatch.setattr(gmbayes.montecarlo, "ThreadPoolExecutor", started)
-        monkeypatch.setattr(gmbayes.montecarlo, "_run_point", started)
+        monkeypatch.setattr(gmbayes.montecarlo, "_prepare", started)
         code, out = self.run_sweep_cli(tmp_path, "a.csv", extra=extra)
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
@@ -371,6 +371,26 @@ class TestSweep:
         assert "failed" in captured.err
         # the CSV is still written, with the failure recorded as a comment
         assert "# point at -20000 dB failed" in out.read_text()
+
+    def test_failed_points_reported_before_svg_error(self, tmp_path, capsys):
+        # No point has data to plot, so the chart fails; the points' own
+        # failure reasons still reach stderr, and an earlier chart survives.
+        doc = json.loads(json.dumps(SCALAR_GAUSSIAN))
+        doc["sweep"] = {
+            "snr_db_start": 20000.0, "snr_db_stop": 20000.0, "snr_db_step": 1.0,
+            "trials": 10, "seed": 0,
+        }
+        out, svg = tmp_path / "fail.csv", tmp_path / "fail.svg"
+        svg.write_text("earlier chart")
+        code = main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out),
+                     "--svg", str(svg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "point at 20000 dB failed: target SNR 20000.0 dB gives unusable noise scale" in err
+        assert "error: no finite data to plot" in err
+        assert err.index("point at 20000 dB failed") < err.index("error: no finite data")
+        assert svg.read_text() == "earlier chart"
+        assert "# point at 20000 dB failed" in out.read_text()
 
     def test_bounds_lost_to_rounding_exit_1(self, tmp_path, capsys):
         # At 190 and 200 dB the upper bound of this model rounds to -2.2e-16;

@@ -1,6 +1,7 @@
 """Tests for the Bayesian linear model layer: observation/joint mixtures,
 SNR accounting, and noise-scale calibration."""
 
+import re
 import warnings
 
 import numpy as np
@@ -227,6 +228,15 @@ class TestCalibration:
         model = scalar_wiener_model()
         with pytest.raises(ValidationError, match="unusable"):
             calibrate_noise_scale(model, -20000.0)
+
+    @pytest.mark.parametrize("target", [-20000.0, 20000.0])
+    def test_unusable_scale_exponent_parses(self, target):
+        # the message once read "unusable noise scale 1e-1e+03" at 20000 dB
+        model = scalar_wiener_model()
+        with pytest.raises(ValidationError) as info:
+            calibrate_noise_scale(model, target)
+        exponent = re.fullmatch(r".* unusable noise scale 10\^(\S+)", str(info.value)).group(1)
+        assert float(exponent) == pytest.approx(-target / 20.0)
 
     def test_prior_snr_above_linear_overflow_calibrates(self):
         # figure-1 with its noise at a 3122 dB prior SNR: the linear ratio

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import threading
+import time
 import tracemalloc
 from collections import Counter
 
@@ -38,6 +39,16 @@ def scalar_wiener_model() -> BayesianLinearModel:
 
 def oracle_model():
     return load_config(packaged_config("oracle1d.config")).model
+
+
+def staged_points(config: SweepConfig) -> list:
+    """The sweep's points, each point's three stages run in turn on the
+    calling thread."""
+    points = []
+    for index in range(len(config.snr_db_grid)):
+        point, job = mc._prepare(config, index)
+        points.append(mc._finish(point, job, lambda: mc._draw(job.model, config.trials, job.seed)))
+    return points
 
 
 def demo03_model() -> BayesianLinearModel:
@@ -296,8 +307,8 @@ class TestRunSweep:
             raise AssertionError("the sweep started")
 
         monkeypatch.setattr(mc, "ThreadPoolExecutor", started)
-        monkeypatch.setattr(mc, "_run_point", started)
         monkeypatch.setattr(mc, "_prepare", started)
+        monkeypatch.setattr(mc, "_finish", started)
         config = SweepConfig(oracle_model(), (0.0,), trials=10, seed=0)
         with pytest.raises(ValidationError, match=message):
             run_sweep(config, workers=workers)
@@ -411,37 +422,93 @@ class TestRunSweep:
             tracemalloc.stop()
         assert peak < 8e6
 
-    def test_serial_sweep_holds_one_point_ahead(self):
-        # The serial sweep draws the next point while it finishes this one, so
-        # it holds at most one more point's draws: 3 figure-1 points peak at
-        # about 11 MB, 2 points' draws more would exceed 12 MB.
+    @pytest.mark.parametrize("workers, points, bound", [(1, 3, 12e6), (2, 4, 20e6)],
+                             ids=["serial", "2-workers"])
+    def test_sweep_holds_one_point_ahead(self, workers, points, bound):
+        # The drawer works one point ahead of the finishers, so a sweep holds
+        # at most workers + 1 points' draws, 4 MB each on figure 1. Serial, 3
+        # points peak at about 11 MB; at 2 workers, 4 points peak at about
+        # 17.7 MB. One more point's draws would exceed either bound.
         config = load_config(packaged_config("figure1.config")).sweep_config()
-        config = dataclasses.replace(config, snr_db_grid=config.snr_db_grid[29:32])
-        run_sweep(config)  # warm-up
+        config = dataclasses.replace(config, snr_db_grid=config.snr_db_grid[29:29 + points])
+        run_sweep(config, workers=workers)  # warm-up
         tracemalloc.start()
         try:
-            run_sweep(config)
+            run_sweep(config, workers=workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < bound
 
-    def test_serial_sweep_draws_on_one_helper_thread(self, monkeypatch):
-        threads = []
-        real = mc._draw
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_drawer_thread_draws_in_grid_order(self, monkeypatch, workers):
+        # Every worker count runs one scheduler: the caller prepares, one
+        # drawer thread draws every point in grid order and the finishers,
+        # none of them the caller or the drawer, finish the points.
+        draws, finishers = [], set()
+        real_draw, real_finish = mc._draw, mc._finish
 
-        def spied(*args):
-            threads.append(threading.current_thread())
-            return real(*args)
+        def drawn(model, trials, seed):
+            draws.append((threading.current_thread(), seed))
+            return real_draw(model, trials, seed)
 
-        monkeypatch.setattr(mc, "_draw", spied)
-        config = SweepConfig(oracle_model(), (-5.0, 5.0, 15.0), trials=3000, seed=2)
+        def finished(*args):
+            finishers.add(threading.current_thread())
+            return real_finish(*args)
+
+        monkeypatch.setattr(mc, "_draw", drawn)
+        monkeypatch.setattr(mc, "_finish", finished)
+        config = SweepConfig(oracle_model(), (-5.0, 0.0, 5.0, 10.0, 15.0), trials=3000, seed=2)
         before = threading.active_count()
-        points = run_sweep(config)
+        points = run_sweep(config, workers=workers)
         assert threading.active_count() == before
-        assert len(threads) == 3 and len(set(threads)) == 1
-        assert threads[0] is not threading.current_thread()
-        assert points == [mc._run_point(config, i) for i in range(3)]
+        drawers = {thread for thread, _ in draws}
+        assert [seed for _, seed in draws] == [derive_seed(2, "point", i) for i in range(5)]
+        assert len(drawers) == 1 and 1 <= len(finishers) <= workers
+        assert threading.current_thread() not in drawers | finishers
+        assert not drawers & finishers
+        monkeypatch.undo()
+        assert points == staged_points(config)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_at_most_workers_finishes_at_once(self, monkeypatch, workers):
+        lock = threading.Lock()
+        running, peak = 0, 0
+        real = mc._finish
+
+        def counted(*args):
+            nonlocal running, peak
+            with lock:
+                running += 1
+                peak = max(peak, running)
+            try:
+                time.sleep(0.05)  # long enough for the other finishers to start
+                return real(*args)
+            finally:
+                with lock:
+                    running -= 1
+
+        monkeypatch.setattr(mc, "_finish", counted)
+        config = SweepConfig(oracle_model(), tuple(range(-10, 20, 5)), trials=500, seed=3)
+        run_sweep(config, workers=workers)
+        assert running == 0 and peak == workers
+
+    def test_finish_failure_propagates(self, monkeypatch):
+        # An error in a finisher leaves run_sweep at 2 workers, and both pools'
+        # threads are joined before it does.
+        real = mc._finish
+
+        def broken(point, job, draws):
+            if point.snr_db == 5.0:
+                raise RuntimeError("finish broke")
+            return real(point, job, draws)
+
+        monkeypatch.setattr(mc, "_finish", broken)
+        config = SweepConfig(oracle_model(), (0.0, 5.0, 10.0, 15.0), trials=100, seed=0)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="finish broke"):
+            run_sweep(config, workers=2)
+        assert threading.active_count() == before
 
     def test_helper_draw_failure_propagates(self, monkeypatch):
         # An error in the helper thread's sampling leaves run_sweep, and the

@@ -100,6 +100,14 @@ class TestRenderSweepSvg:
         points = sample_points()
         assert render_sweep_svg(points) == render_sweep_svg(points)
 
+    def test_failed_render_leaves_file_untouched(self, tmp_path):
+        path = tmp_path / "sweep.svg"
+        path.write_text("earlier chart")
+        failed = [SweepPoint(snr_db=0.0, noise_scale=math.nan, error="boom")]
+        with pytest.raises(ValidationError, match="no finite data"):
+            write_sweep_svg(failed, path)
+        assert path.read_text() == "earlier chart"
+
     def test_write_file(self, tmp_path):
         path = tmp_path / "sweep.svg"
         write_sweep_svg(sample_points(), path)

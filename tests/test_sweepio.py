@@ -111,6 +111,16 @@ class TestParse:
         rows = read_sweep_csv(path)
         assert [r.snr_db for r in rows] == [p.snr_db for p in points]
 
+    def test_failed_render_leaves_file_untouched(self, tmp_path):
+        # a negative bound has no dB value, so the render raises
+        config, _ = small_sweep()
+        path = tmp_path / "sweep.csv"
+        path.write_text("earlier sweep")
+        bad = [SweepPoint(snr_db=0.0, noise_scale=1.0, lower=-1.0, upper=1.0)]
+        with pytest.raises(ValueError, match="math domain error"):
+            write_sweep_csv(config, bad, path)
+        assert path.read_text() == "earlier sweep"
+
     def test_bounds_only_rows_have_empty_estimator_fields(self):
         run = load_config(packaged_config("oracle1d.config"))
         config = run.sweep_config(trials=10, estimators=())
