@@ -69,8 +69,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 _LOG_TINY = math.log(np.finfo(float).tiny)
 _LOWEST = -np.finfo(float).max  # the floor of every _peak
 
-# Rows per block of a one-component mixture's sample (see GaussianMixture.sample).
-_SAMPLE_BLOCK = 4096
+# Rows per block of every loop over Monte Carlo draws (see _row_blocks).
+_BLOCK_ROWS = 4096
 
 
 class ValidationError(ValueError):
@@ -265,16 +265,15 @@ class GaussianMixture:
         integer ``seed``. The draw is a categorical pick over the component
         weights followed by ``mean + chol @ z`` with ``z`` standard normal,
         drawn row by row after the categorical pick, so the output is a pure
-        function of (seed, numpy version). Each component's rows are
-        transformed in place in ``z``, which is returned C-ordered.
+        function of (seed, numpy version). The output is C-ordered for every
+        number of components.
 
         A one-component mixture skips the pick but still advances the
         generator past the ``count`` raw 64-bit draws it would have consumed,
         so its ``z`` (and output) is the same as with the pick. It draws and
-        transforms ``z`` in blocks of ``_SAMPLE_BLOCK`` (4096) rows into a
-        Fortran-ordered output. No block has exactly one row unless ``count``
-        is 1: numpy rounds a one-column product differently, so where the
-        count would leave one, the block before ends a row early.
+        transforms ``z`` in the row blocks of :func:`_row_blocks`. More
+        components transform each component's rows of ``z`` in place, in one
+        product.
 
         ``count`` and ``seed`` must be non-negative integers; anything else
         raises :class:`ValidationError`.
@@ -283,21 +282,15 @@ class GaussianMixture:
         rng = np.random.Generator(np.random.Philox(_integer("seed", seed)))
         if len(self) == 1:
             rng.bit_generator.random_raw(count, output=False)  # the pick's uniforms
-            out = np.empty((count, self.dim), order="F")
-            start = 0
-            while start < count:
-                stop = min(start + _SAMPLE_BLOCK, count)
-                if count - stop == 1:
-                    stop -= 1
-                out[start:stop] = self._component_draws(0, rng.standard_normal((stop - start, self.dim)))
-                start = stop
+            out = np.empty((count, self.dim))
+            for rows in _row_blocks(count):
+                out[rows] = self._component_draws(0, rng.standard_normal(out[rows].shape))
             return out
         idx = rng.choice(len(self), size=count, p=self.weights)
         z = rng.standard_normal((count, self.dim))
         for k in range(len(self)):
             rows = np.flatnonzero(idx == k)
-            if rows.size:
-                z[rows] = self._component_draws(k, z[rows])
+            z[rows] = self._component_draws(k, z[rows])
         return z
 
     def _component_draws(self, k: int, z: np.ndarray) -> np.ndarray:
@@ -311,6 +304,17 @@ class GaussianMixture:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GaussianMixture(dim={self.dim}, components={len(self)})"
+
+
+def _row_blocks(count: int) -> list[slice]:
+    """Slices of ``_BLOCK_ROWS`` rows that cover ``range(count)`` in order.
+
+    numpy rounds a one-row product differently, so a lone last row joins the
+    block before it: no block has one row unless ``count`` is 1.
+    """
+    # a block starts only where two rows or more remain, or at the row of count 1
+    starts = list(range(0, count - 1 if count > 1 else count, _BLOCK_ROWS))
+    return [slice(start, stop) for start, stop in zip(starts, starts[1:] + [count])]
 
 
 def _reject(bad, grid: tuple[int, ...], message) -> None:

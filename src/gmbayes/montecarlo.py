@@ -18,11 +18,10 @@ Reproducibility contract:
 * Within a point, the same draws are reused for every estimator (paired
   sampling; the MMSE/LMMSE comparison then has no sampling noise between
   arms). The signal and the noise are drawn once; the point then runs in
-  blocks of ``_BATCH`` (4096) rows, each forming its observations, running
+  blocks of 4096 rows (:func:`gmbayes.mixture._row_blocks`, which also
+  blocks a one-component sample), each forming its observations, running
   every estimator and squaring their errors while its arrays are in cache.
-  No block has a single row: numpy's products round a one-row operand
-  differently, so where the trial count would leave one, the last block
-  starts a row earlier. The results do not depend on the block size.
+  The results do not depend on the block size.
 * A point runs in three stages: *prepare* (calibrate the noise scale, build
   the estimators, compute the bounds), *draw* (the signal and the noise) and
   *finish* (the blocks and the reduction). A sweep has one scheduler at every
@@ -41,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -49,7 +49,7 @@ import numpy as np
 
 from .bounds import genie_lower_bound, lmmse_upper_bound
 from .estimators import LmmseEstimator, PrecomputedEstimator
-from .mixture import ValidationError, _integer
+from .mixture import ValidationError, _integer, _row_blocks
 from .model import BayesianLinearModel, calibrate_noise_scale
 
 __all__ = [
@@ -63,8 +63,6 @@ __all__ = [
 
 _ARMS = {"mmse": PrecomputedEstimator, "lmmse": LmmseEstimator}
 ESTIMATOR_NAMES = tuple(_ARMS)
-
-_BATCH = 4096
 
 # _exact_sum splits each term into a high half (sign, exponent and the top
 # 27 significand bits) and a low half (the other 26 bits). Per binary
@@ -104,16 +102,12 @@ def _squared_errors(model: BayesianLinearModel, x: np.ndarray, noise: np.ndarray
     """Squared errors ``|x - xhat(y)|^2``, one array per estimator in ``arms``,
     over the paired draws ``x`` and ``noise`` of :func:`_draw`.
 
-    Each block of ``_BATCH`` rows forms its observations ``y = x H^T + n`` and
-    runs every arm on them, so a block's arrays stay in cache and no
-    full-length ``y`` is built.
+    Each block of :func:`gmbayes.mixture._row_blocks` forms its observations
+    ``y = x H^T + n`` and runs every arm on them, so a block's arrays stay in
+    cache and no full-length ``y`` is built.
     """
-    trials = len(x)
-    errors = [np.empty(trials) for _ in arms]
-    for start in range(0, trials, _BATCH):
-        # numpy's products round a one-row operand differently, so a last block
-        # of one row starts a row earlier, recomputing the block before's last row
-        rows = slice(min(start, trials - 2), start + _BATCH)
+    errors = [np.empty(len(x)) for _ in arms]
+    for rows in _row_blocks(len(x)):
         x_rows = x[rows]
         y = x_rows @ model.H.T
         y += noise[rows]
@@ -132,6 +126,14 @@ def _sweep_integer(name: str, value) -> int:
     if number < least:
         raise ValidationError(f"{name} {number} < {least}; {name} must be at least {least}")
     return number
+
+
+def _entries(name: str, value) -> tuple:
+    """The entries of ``value``, a sequence other than a string, as a tuple;
+    else :class:`ValidationError` naming ``name``."""
+    if isinstance(value, (str, bytes)) or not np.iterable(value):
+        raise ValidationError(f"{name} must be a sequence, not {type(value).__name__} {value!r}")
+    return tuple(value)
 
 
 def _estimator_name(name) -> str:
@@ -203,17 +205,17 @@ class SweepConfig:
     estimators: tuple[str, ...] = ESTIMATOR_NAMES
 
     def __post_init__(self):
-        grid = tuple(float(v) for v in self.snr_db_grid)
+        grid = _entries("snr_db_grid", self.snr_db_grid)
         if not grid:
-            raise ValidationError("SNR grid is empty")
-        if not all(math.isfinite(v) for v in grid):
-            raise ValidationError("SNR grid has non-finite entries")
+            raise ValidationError("snr_db_grid is empty")
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in grid):
+            raise ValidationError("snr_db_grid has non-finite or non-real entries")
         object.__setattr__(self, "trials", _sweep_integer("trials", self.trials))
         object.__setattr__(self, "seed", _sweep_integer("seed", self.seed))
-        names = [_estimator_name(name) for name in self.estimators]
+        names = [_estimator_name(name) for name in _entries("estimators", self.estimators)]
         # canonical order, duplicates dropped
         object.__setattr__(self, "estimators", tuple(n for n in ESTIMATOR_NAMES if n in names))
-        object.__setattr__(self, "snr_db_grid", grid)
+        object.__setattr__(self, "snr_db_grid", tuple(float(v) for v in grid))
 
 
 @dataclass(frozen=True)

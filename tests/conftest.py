@@ -12,7 +12,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from scipy.linalg import block_diag, solve_triangular
 
-from gmbayes import BayesianLinearModel, GaussianMixture
+import gmbayes.montecarlo
+from gmbayes import BayesianLinearModel, GaussianMixture, PrecomputedEstimator, ValidationError
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -68,6 +69,34 @@ def random_model(
         random_mixture(rng, observation_dim, noise_components, mean_scale=0.5,
                        zero_weight=zero_weight),
     )
+
+
+def scalar_wiener_model() -> BayesianLinearModel:
+    """``y = x + n`` with standard normal signal and noise: the scalar Wiener case."""
+    std = GaussianMixture.single(np.zeros(1), np.eye(1))
+    return BayesianLinearModel(np.array([[1.0]]), std, std)
+
+
+def fail_mmse_estimate_at(monkeypatch, snr_db: float) -> None:
+    """Make the MMSE estimator of the sweep point at ``snr_db`` raise
+    ``ValidationError("estimate broke")`` in the point's finish stage; every
+    other point runs as before."""
+    prepare, estimate = gmbayes.montecarlo._prepare, PrecomputedEstimator.estimate
+    broken = []
+
+    def spy_prepare(config, index):
+        point, job = prepare(config, index)
+        if point.snr_db == snr_db:
+            broken.append(job.arms["mmse"])
+        return point, job
+
+    def spy_estimate(self, y):
+        if any(self is arm for arm in broken):
+            raise ValidationError("estimate broke")
+        return estimate(self, y)
+
+    monkeypatch.setattr(gmbayes.montecarlo, "_prepare", spy_prepare)
+    monkeypatch.setattr(PrecomputedEstimator, "estimate", spy_estimate)
 
 
 def oracle_equivalence_models() -> list[BayesianLinearModel]:

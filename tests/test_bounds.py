@@ -19,13 +19,8 @@ from gmbayes import (
     scale_noise,
 )
 
-from conftest import asymptotics_model, oracle_equivalence_models, random_model
+from conftest import asymptotics_model, oracle_equivalence_models, random_model, scalar_wiener_model
 from reference import DPS, components, reference_bounds
-
-
-def scalar_wiener_model() -> BayesianLinearModel:
-    std = GaussianMixture.single(np.zeros(1), np.eye(1))
-    return BayesianLinearModel(np.array([[1.0]]), std, std)
 
 
 def identity_beta_model(beta: float) -> BayesianLinearModel:

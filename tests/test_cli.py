@@ -19,7 +19,7 @@ import gmbayes.montecarlo
 from gmbayes import SWEEP_CSV_HEADER, calibrate_noise_scale, load_config, packaged_config, parse_sweep_csv
 from gmbayes.cli import main
 
-from conftest import asymptotics_model, parts
+from conftest import asymptotics_model, fail_mmse_estimate_at, parts
 
 SCALAR_GAUSSIAN = {
     "model": {
@@ -371,6 +371,18 @@ class TestSweep:
         assert "failed" in captured.err
         # the CSV is still written, with the failure recorded as a comment
         assert "# point at -20000 dB failed" in out.read_text()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_finish_stage_failure_reported_and_exit_1(self, tmp_path, capsys, monkeypatch, workers):
+        fail_mmse_estimate_at(monkeypatch, 5.0)
+        code, out = self.run_sweep_cli(tmp_path, "a.csv", extra=["--workers", workers])
+        assert code == 1
+        assert "point at 5 dB failed: estimate broke" in capsys.readouterr().err
+        text = out.read_text()
+        assert "# point at 5 dB failed: estimate broke" in text
+        rows = parse_sweep_csv(text)
+        assert [row.snr_db for row in rows] == [-5.0, 0.0, 5.0, 10.0, 15.0]
+        assert [row.mse_mmse_db is None for row in rows] == [False, False, True, False, False]
 
     def test_failed_points_reported_before_svg_error(self, tmp_path, capsys):
         # No point has data to plot, so the chart fails; the points' own

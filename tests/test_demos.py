@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the package in ``src``."""
+"""Each demo script runs to completion against the package in ``src``, with
+every ``RuntimeWarning`` an error, as the in-process tests run."""
 
 import os
 import subprocess
@@ -16,6 +17,7 @@ def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=120, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert result.returncode == 0, result.stderr

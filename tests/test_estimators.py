@@ -33,15 +33,11 @@ from conftest import (
     reference_log_sum_exp,
     reference_mixture_covariance,
     rejected_input,
+    scalar_wiener_model,
 )
 from reference import DPS, reference_posteriors
 
 LOG_TINY = math.log(np.finfo(float).tiny)
-
-
-def scalar_wiener_model() -> BayesianLinearModel:
-    std = GaussianMixture.single(np.zeros(1), np.eye(1))
-    return BayesianLinearModel(np.array([[1.0]]), std, std)
 
 
 def two_component_1d_model() -> BayesianLinearModel:

@@ -19,7 +19,7 @@ from gmbayes import (
     independent_join,
     marginal,
 )
-from gmbayes.mixture import _LOG_TINY, _log_sum_exp, _stacked_product
+from gmbayes.mixture import _LOG_TINY, _log_sum_exp, _row_blocks, _stacked_product
 
 from conftest import (
     assert_mixture_equal,
@@ -437,12 +437,22 @@ class TestSampling:
 
     @pytest.mark.parametrize("components", [1, 2, 4])
     def test_output_memory_order(self, components):
-        # The figure-1 bytes depend on it: one component fills a
-        # Fortran-ordered output block by block, more transform z in place.
+        # The figure-1 bytes depend on it: every sample is C-ordered, whether
+        # one component fills it block by block or more transform z in place.
         mix = random_mixture(np.random.default_rng(components), 3, components)
         for count in (2, 4097, 50_001):
             out = mix.sample(count, seed=8)
-            assert (out.flags.f_contiguous, out.flags.c_contiguous) == (components == 1, components > 1)
+            assert (out.flags.f_contiguous, out.flags.c_contiguous) == (False, True)
+
+    @pytest.mark.parametrize("count, sizes", [
+        (0, []), (1, [1]), (2, [2]), (4096, [4096]), (4097, [4097]), (4098, [4096, 2]),
+        (8193, [4096, 4097]), (50_001, [4096] * 12 + [849]),
+    ])
+    def test_row_blocks(self, count, sizes):
+        # Blocks of 4096 rows cover the rows in order; numpy rounds a one-row
+        # product differently, so a lone last row joins the block before it.
+        stops = np.cumsum(sizes, dtype=int).tolist()
+        assert _row_blocks(count) == [slice(start, stop) for start, stop in zip([0] + stops, stops)]
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValidationError, match="negative"):

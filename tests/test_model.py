@@ -24,7 +24,13 @@ from gmbayes import (
     snr_db,
 )
 
-from conftest import assert_mixture_equal, random_model, reference_affine, reference_observation
+from conftest import (
+    assert_mixture_equal,
+    random_model,
+    reference_affine,
+    reference_observation,
+    scalar_wiener_model,
+)
 
 
 def random_models(seed: int, count: int = 40):
@@ -34,11 +40,6 @@ def random_models(seed: int, count: int = 40):
     for i in range(count):
         d, m, k, l = (int(v) for v in rng.integers(1, 5, size=4))
         yield random_model(rng, d, m, k, l, zero_weight=i % 2 == 0)
-
-
-def scalar_wiener_model() -> BayesianLinearModel:
-    std = GaussianMixture.single(np.zeros(1), np.eye(1))
-    return BayesianLinearModel(np.array([[1.0]]), std, std)
 
 
 class TestModelConstruction:

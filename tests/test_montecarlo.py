@@ -11,6 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import gmbayes.mixture as mixture
 import gmbayes.montecarlo as mc
 from gmbayes import (
     BayesianLinearModel,
@@ -18,6 +19,7 @@ from gmbayes import (
     LmmseEstimator,
     PrecomputedEstimator,
     SweepConfig,
+    SweepPoint,
     ValidationError,
     calibrate_noise_scale,
     derive_seed,
@@ -29,12 +31,7 @@ from gmbayes import (
     run_sweep,
 )
 
-from conftest import asymptotics_model, random_model
-
-
-def scalar_wiener_model() -> BayesianLinearModel:
-    std = GaussianMixture.single(np.zeros(1), np.eye(1))
-    return BayesianLinearModel(np.array([[1.0]]), std, std)
+from conftest import asymptotics_model, fail_mmse_estimate_at, random_model, scalar_wiener_model
 
 
 def oracle_model():
@@ -266,6 +263,30 @@ class TestSweepConfig:
         assert (config.trials, config.seed) == (10, 7)
         assert type(config.trials) is int and type(config.seed) is int
 
+    @pytest.mark.parametrize("grid, message", [
+        ("10", "snr_db_grid must be a sequence, not str '10'"),
+        (b"10", "snr_db_grid must be a sequence, not bytes"),
+        (5.0, "snr_db_grid must be a sequence, not float 5.0"),
+        (("10",), "snr_db_grid has non-finite or non-real entries"),
+        ((1.0, 2j), "snr_db_grid has non-finite or non-real entries"),
+        (np.zeros((2, 2)), "snr_db_grid has non-finite or non-real entries"),
+    ], ids=["str", "bytes", "scalar", "str-entry", "complex-entry", "2-d"])
+    def test_grid_not_a_sequence_of_reals_rejected(self, grid, message):
+        # formerly "10" swept 1 dB and 0 dB, and 5.0 raised a TypeError
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SweepConfig(scalar_wiener_model(), grid, trials=10, seed=1)
+
+    @pytest.mark.parametrize("estimators", ["mmse", "lmmse", ""])
+    def test_string_estimators_rejected(self, estimators):
+        # formerly "mmse" failed with "unknown estimator 'm'", and "" ran no estimator
+        with pytest.raises(ValidationError, match=f"estimators must be a sequence, not str {estimators!r}"):
+            SweepConfig(scalar_wiener_model(), (0.0,), trials=10, seed=1, estimators=estimators)
+
+    def test_grid_and_estimators_accept_any_sequence(self):
+        config = SweepConfig(scalar_wiener_model(), np.array([5, 10]), trials=10, seed=1, estimators=["lmmse"])
+        assert (config.snr_db_grid, config.estimators) == ((5.0, 10.0), ("lmmse",))
+        assert all(type(v) is float for v in config.snr_db_grid)
+
     def test_estimators_canonicalized(self):
         config = SweepConfig(
             scalar_wiener_model(), (0.0,), trials=10, seed=0,
@@ -376,12 +397,14 @@ class TestRunSweep:
         (1000, None), (4097, None), (50_000, None), (2, 4097), (1000, 4097), (4097, 4097),
     ], ids=["1000", "4097", "50000", "2-trials4097", "1000-trials4097", "4097-trials4097"])
     def test_block_size_does_not_change_results(self, monkeypatch, batch, trials):
-        # A point runs its trials in blocks of _BATCH rows; every result is
-        # bit-identical to the one at the default 4096. The oracle1d sweep
+        # A point draws each one-component mixture and runs its trials in the
+        # blocks of mixture._row_blocks, _BLOCK_ROWS rows each; every result
+        # is bit-identical to the one at the default 4096. The oracle1d sweep
         # gets 10,000 trials so that each block size splits it differently.
         # At 4097 trials the default blocking would leave a last block of one
-        # row, which numpy's products round differently. A random 4-D model
-        # with full H and covariances runs the general batched products.
+        # row, which numpy's products round differently. Random 4-D models
+        # with full H and covariances run the general batched products, the
+        # second with one-component signal and noise for the sampler's blocks.
         figure1 = load_config(packaged_config("figure1.config")).sweep_config()
         oracle1d = load_config(packaged_config("oracle1d.config")).sweep_config()
         if trials is None:
@@ -390,6 +413,8 @@ class TestRunSweep:
                 dataclasses.replace(oracle1d, trials=10_000),
                 SweepConfig(random_model(np.random.default_rng(31), 4, 4, 3, 2),
                             (-10.0, 20.0, 50.0), trials=10_000, seed=5),
+                SweepConfig(random_model(np.random.default_rng(32), 4, 4, 1, 1),
+                            (-10.0, 20.0, 50.0), trials=10_000, seed=6),
             ]
         else:
             configs = [
@@ -398,9 +423,9 @@ class TestRunSweep:
                                           (oracle1d, (40.0, 50.0), (0, 19))]
                 for seed in seeds
             ]
-        assert mc._BATCH == 4096
+        assert mixture._BLOCK_ROWS == 4096
         expected = [run_sweep(config) for config in configs]
-        monkeypatch.setattr(mc, "_BATCH", batch)
+        monkeypatch.setattr(mixture, "_BLOCK_ROWS", batch)
         assert [run_sweep(config) for config in configs] == expected
 
     def test_point_memory_stays_blocked(self):
@@ -492,6 +517,17 @@ class TestRunSweep:
         config = SweepConfig(oracle_model(), tuple(range(-10, 20, 5)), trials=500, seed=3)
         run_sweep(config, workers=workers)
         assert running == 0 and peak == workers
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_finish_stage_failure_recorded(self, monkeypatch, workers):
+        # A point whose estimator raises while the point is finished keeps its
+        # SNR and noise scale and carries the error; the later points finish.
+        config = SweepConfig(oracle_model(), (0.0, 5.0, 10.0, 15.0), trials=100, seed=0)
+        expected = run_sweep(config)
+        fail_mmse_estimate_at(monkeypatch, 5.0)
+        points = run_sweep(config, workers=workers)
+        assert points[1] == SweepPoint(5.0, expected[1].noise_scale, error="estimate broke")
+        assert points[:1] + points[2:] == expected[:1] + expected[2:]
 
     def test_finish_failure_propagates(self, monkeypatch):
         # An error in a finisher leaves run_sweep at 2 workers, and both pools'

@@ -39,14 +39,9 @@ from gmbayes.quadrature import (
     support_grid,
 )
 
-from conftest import oracle_equivalence_models, random_model
+from conftest import oracle_equivalence_models, random_model, scalar_wiener_model
 
 SPEC = QuadratureSpec(grid_points=4001)
-
-
-def scalar_wiener_model() -> BayesianLinearModel:
-    std = GaussianMixture.single(np.zeros(1), np.eye(1))
-    return BayesianLinearModel(np.array([[1.0]]), std, std)
 
 
 def oracle1d_model(h: float | None = None) -> BayesianLinearModel:
